@@ -9,7 +9,6 @@
 //   $ ./runtime_broadcast \
 //       "bcast:binomial:checked:overlapped@P=1024,f=2%,exec=rt-sharded:w=8"
 //   $ ./runtime_broadcast --procs 36864 --faults 700 --iterations 10
-//   $ ./runtime_broadcast --procs 256 --legacy        # thread-per-rank A/B
 //   $ ./runtime_broadcast --procs 4096 --workers 2    # pin the shard count
 //   $ ./runtime_broadcast \
 //       "bcast:binomial:checked:overlapped@P=256,exec=rt-udp:procs=8"
@@ -21,8 +20,6 @@
 //
 //   $ ./runtime_broadcast --procs 512 --iterations 200 --correction=checked
 //       --chaos-seed 7 --crash-frac 0.02 --drop-prob 0.01 --delay-prob 0.01
-//   $ ./runtime_broadcast --procs 512 --iterations 200 --legacy
-//       --chaos-seed 7 --crash-frac 0.02     # same schedule, other executor
 //
 // Self-healing soaks (PR9): --repair makes crashes persistent and repairs
 // the membership at every epoch boundary (tree rebuilt over survivors);
@@ -71,8 +68,7 @@ ct::exp::RunSpec spec_from_flags(const ct::support::Options& options) {
   spec.warmup = 2;
   spec.seed = static_cast<std::uint64_t>(options.get_int("seed", 11));
   spec.workers = static_cast<int>(options.get_int("workers", 0));
-  spec.executor = options.get_flag("legacy") ? ct::exp::Executor::kRtThreadPerRank
-                                             : ct::exp::Executor::kRtSharded;
+  spec.executor = ct::exp::Executor::kRtSharded;
   spec.faults.chaos_seed = static_cast<std::uint64_t>(options.get_int("chaos-seed", 0));
   spec.faults.crash_fraction = options.get_double("crash-frac", 0.0);
   spec.faults.drop_prob = options.get_double("drop-prob", 0.0);

@@ -133,7 +133,6 @@ std::string executor_token(const RunSpec& spec) {
   if (spec.executor != Executor::kSim && spec.workers > 0) {
     out += ":w=" + std::to_string(spec.workers);
   }
-  if (spec.rt_locked_inbox) out += ":inbox";
   if (spec.rt_pin) out += ":pin";
   if (spec.rt_mesh_capacity > 0) {
     out += ":mesh-cap=" + std::to_string(spec.rt_mesh_capacity);
@@ -154,18 +153,21 @@ void parse_executor(const std::string& text, RunSpec& spec) {
     spec.executor = Executor::kSim;
   } else if (name == "rt-sharded") {
     spec.executor = Executor::kRtSharded;
-  } else if (name == "rt-tpr" || name == "rt-thread-per-rank") {
-    spec.executor = Executor::kRtThreadPerRank;
   } else if (name == "rt-udp") {
     spec.executor = Executor::kRtUdp;
+  } else if (name == "rt-tpr" || name == "rt-thread-per-rank") {
+    bad_spec("executor '" + name + "' was removed: the thread-per-rank runtime "
+             "ran the same protocols as rt-sharded at a small fraction of its "
+             "throughput (use sim|rt-sharded|rt-udp)");
   } else {
-    bad_spec("unknown executor '" + name + "' (use sim|rt-sharded|rt-tpr|rt-udp)");
+    bad_spec("unknown executor '" + name + "' (use sim|rt-sharded|rt-udp)");
   }
   for (std::size_t i = 1; i < tokens.size(); ++i) {
     if (tokens[i].rfind("w=", 0) == 0) {
       spec.workers = static_cast<int>(parse_int("exec:w", tokens[i].substr(2)));
     } else if (tokens[i] == "inbox") {
-      spec.rt_locked_inbox = true;
+      bad_spec("executor option ':inbox' was removed: cross-shard mail always "
+               "takes the lock-free SPSC ring mesh");
     } else if (tokens[i] == "pin") {
       spec.rt_pin = true;
     } else if (tokens[i].rfind("mesh-cap=", 0) == 0) {
@@ -184,13 +186,8 @@ void parse_executor(const std::string& text, RunSpec& spec) {
   if (spec.executor == Executor::kSim && spec.workers > 0) {
     bad_spec("exec=sim takes no ':w=' worker count (pass a ThreadPool to run())");
   }
-  if (spec.executor != Executor::kRtSharded &&
-      (spec.rt_locked_inbox || spec.rt_pin || spec.rt_mesh_capacity > 0)) {
-    bad_spec("executor options ':inbox', ':pin', ':mesh-cap' apply to "
-             "exec=rt-sharded only");
-  }
-  if (spec.rt_locked_inbox && spec.rt_mesh_capacity > 0) {
-    bad_spec("':mesh-cap' sizes the SPSC mesh — it contradicts ':inbox'");
+  if (spec.executor != Executor::kRtSharded && (spec.rt_pin || spec.rt_mesh_capacity > 0)) {
+    bad_spec("executor options ':pin', ':mesh-cap' apply to exec=rt-sharded only");
   }
   if (spec.executor != Executor::kRtUdp &&
       (spec.rt_port_base > 0 || spec.rt_procs > 0)) {
@@ -226,8 +223,6 @@ std::string executor_name(Executor e) {
       return "sim";
     case Executor::kRtSharded:
       return "rt-sharded";
-    case Executor::kRtThreadPerRank:
-      return "rt-tpr";
     case Executor::kRtUdp:
       return "rt-udp";
   }
@@ -457,11 +452,11 @@ void RunSpec::validate() const {
   if (faults.revive_after_us < 0) bad_spec("revive-after-us must be >= 0");
   if (faults.repair && executor == Executor::kSim) {
     bad_spec("repair=1 persists crashes across wall-clock epochs; "
-             "use exec=rt-sharded or exec=rt-tpr");
+             "use exec=rt-sharded");
   }
   if (faults.repair && executor == Executor::kRtUdp) {
     bad_spec("repair=1 needs the in-process membership machinery; "
-             "use exec=rt-sharded or exec=rt-tpr");
+             "use exec=rt-sharded");
   }
   if (faults.revive_fraction > 0.0) {
     if (!faults.repair) bad_spec("revive-frac needs repair=1");
@@ -479,18 +474,23 @@ void RunSpec::validate() const {
     bad_spec("reduce colors only the root, so runtime epochs never complete; "
              "use exec=sim or collective allreduce");
   }
+  // Time-budget gossip overrides the start with its own synchronized phase
+  // at gossip_time; every other protocol would take this start as is.
+  if (executor != Executor::kSim &&
+      correction.start == proto::CorrectionStart::kSynchronized &&
+      !(protocol == ProtocolKind::kGossip && gossip_rounds == 0)) {
+    bad_spec("start=sync fires the correction at an absolute model time "
+             "(sync_time, which the simulator derives from the fault-free "
+             "dissemination span); wall-clock runtime epochs have no such "
+             "time, so use start=overlapped on exec=" + executor_name(executor));
+  }
   if (protocol == ProtocolKind::kGossip && faults.gap_limit > 0) {
     bad_spec("gap= placement limits need a tree protocol");
   }
-  if (executor != Executor::kRtSharded &&
-      (rt_locked_inbox || rt_pin || rt_mesh_capacity > 0)) {
-    bad_spec("executor options ':inbox', ':pin', ':mesh-cap' apply to "
-             "exec=rt-sharded only");
+  if (executor != Executor::kRtSharded && (rt_pin || rt_mesh_capacity > 0)) {
+    bad_spec("executor options ':pin', ':mesh-cap' apply to exec=rt-sharded only");
   }
   if (rt_mesh_capacity < 0) bad_spec("exec:mesh-cap must be >= 1");
-  if (rt_locked_inbox && rt_mesh_capacity > 0) {
-    bad_spec("':mesh-cap' sizes the SPSC mesh — it contradicts ':inbox'");
-  }
 
   // --- rt-udp knobs ---
   if (executor != Executor::kRtUdp && (rt_port_base > 0 || rt_procs > 0)) {
@@ -522,7 +522,7 @@ void RunSpec::validate() const {
     if (collective != Collective::kBroadcast || protocol == ProtocolKind::kGossip) {
       bad_spec("streaming (window/rate) supports bcast with proto tree|ack only");
     }
-    if (executor == Executor::kRtThreadPerRank || executor == Executor::kRtUdp) {
+    if (executor == Executor::kRtUdp) {
       bad_spec("streaming needs the windowed executor: exec=rt-sharded or exec=sim");
     }
     if (executor == Executor::kSim &&
@@ -1000,13 +1000,7 @@ RunRecord run_rt(const RunSpec& spec) {
   const topo::Tree tree = topo::make_tree(spec.tree, spec.params.P);
 
   rt::EngineOptions engine_options;
-  engine_options.threading = spec.executor == Executor::kRtSharded
-                                 ? rt::Threading::kSharded
-                                 : rt::Threading::kThreadPerRank;
   engine_options.workers = spec.workers;
-  if (spec.rt_locked_inbox) {
-    engine_options.cross_shard = rt::CrossShard::kLockedInbox;
-  }
   engine_options.pin_threads = spec.rt_pin;
   if (spec.rt_mesh_capacity > 0) {
     engine_options.mesh_capacity = static_cast<std::size_t>(spec.rt_mesh_capacity);

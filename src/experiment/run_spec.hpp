@@ -16,8 +16,8 @@
 //   +-- collective: bcast | reduce | allreduce
 //
 // The same spec runs unmodified under exec=sim (replicated LogP simulation
-// through the ReplicaPlan path), exec=rt-sharded / exec=rt-tpr (wall clock
-// epochs on rt::Engine + measure_broadcast), and exec=rt-udp (forked OS
+// through the ReplicaPlan path), exec=rt-sharded (wall clock epochs on
+// rt::Engine + measure_broadcast), and exec=rt-udp (forked OS
 // processes exchanging real loopback datagrams under the perfect-links
 // layer, DESIGN.md §4j); exp::run returns one RunRecord with the identical
 // metric key set either way (latency_unit tells model ticks from
@@ -40,10 +40,9 @@ enum class Collective {
 
 /// Which substrate executes the spec.
 enum class Executor {
-  kSim,             ///< LogP discrete-event simulator, `reps` replications
-  kRtSharded,       ///< rt::Engine M:N sharded executor, `reps` epochs
-  kRtThreadPerRank, ///< rt::Engine legacy 1:1 executor
-  kRtUdp,           ///< forked processes over loopback UDP perfect links
+  kSim,        ///< LogP discrete-event simulator, `reps` replications
+  kRtSharded,  ///< rt::Engine M:N sharded executor, `reps` epochs
+  kRtUdp,      ///< forked processes over loopback UDP perfect links
 };
 
 std::string collective_name(Collective c);
@@ -133,10 +132,9 @@ struct RunSpec {
   double rate = 0.0;  ///< open-loop offered epochs/s (sim: model-time, 1 tick ≙ 1 µs)
   std::int64_t chunk = 0;  ///< chunk size in bytes; 0 = unchunked
 
-  // --- rt-sharded executor knobs (exec=rt-sharded:w=8:inbox:pin:mesh-cap=N).
-  // Defaults (mesh, no pinning, engine-default capacity) are canonical, so
+  // --- rt-sharded executor knobs (exec=rt-sharded:w=8:pin:mesh-cap=N).
+  // Defaults (no pinning, engine-default capacity) are canonical, so
   // existing spec strings and golden outputs are unchanged.
-  bool rt_locked_inbox = false;     ///< ':inbox' — legacy locked MPSC inbox
   bool rt_pin = false;              ///< ':pin' — shard→core thread pinning
   std::int64_t rt_mesh_capacity = 0;  ///< ':mesh-cap=N' per-pair ring; 0 = default
 
@@ -168,16 +166,15 @@ struct RunSpec {
 };
 
 /// Inverse of RunSpec::to_string(); accepts keys in any order plus a few
-/// input conveniences ("2%" fractions, "rt-thread-per-rank", "sync"
-/// aliases). Throws std::invalid_argument with a message naming the
-/// offending token.
+/// input conveniences ("2%" fractions, "sync" aliases). Throws
+/// std::invalid_argument with a message naming the offending token.
 RunSpec parse_run_spec(const std::string& text);
 
-/// Parses one exec= token — "sim", "rt-sharded[:w=N][:inbox][:pin]
-/// [:mesh-cap=N]", "rt-tpr" (alias "rt-thread-per-rank"),
+/// Parses one exec= token — "sim", "rt-sharded[:w=N][:pin][:mesh-cap=N]",
 /// "rt-udp[:port-base=N][:procs=N]" — into spec.executor and the rt knobs.
 /// The shared executor-name table for CLIs taking the executor as its own
-/// flag. Throws std::invalid_argument on unknown names or options.
+/// flag. Throws std::invalid_argument on unknown names or options, naming
+/// the removed "rt-tpr" executor and ":inbox" option as such.
 void parse_executor(const std::string& text, RunSpec& spec);
 
 /// Outcome of one RunSpec execution. One struct for both substrates;

@@ -177,10 +177,12 @@ HarnessResult measure_recovery(Engine& engine,
 StreamHarnessResult measure_stream(Engine& engine, const ProtocolFactory& factory,
                                    const StreamOptions& options) {
   StreamHarnessResult result;
+  // Live ranks at admission of the first epoch: a repair-mode stream moves
+  // engine.live_count() as it persists crashes.
+  const auto live = static_cast<std::int64_t>(engine.live_count());
   result.raw = engine.run_stream(factory, options);
   result.wall_seconds = result.raw.wall_seconds;
   result.repairs = result.raw.repairs;
-  const auto live = static_cast<std::int64_t>(engine.live_count());
   std::int64_t idx = 0;
   std::int64_t last_fault_idx = -1;
   std::int64_t last_degraded_idx = -1;

@@ -171,7 +171,7 @@ struct StreamHarnessResult {
   }
 };
 
-/// Runs one stream on `engine` (sharded backend only) and aggregates it.
+/// Runs one stream on `engine` and aggregates it.
 StreamHarnessResult measure_stream(Engine& engine, const ProtocolFactory& factory,
                                    const StreamOptions& options);
 

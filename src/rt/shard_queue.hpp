@@ -1,30 +1,23 @@
 #pragma once
 // Delivery structures for the sharded M:N runtime (DESIGN.md §4c, §4f).
-// Three tiers, matching the kinds of traffic a shard sees:
+// Two tiers, matching the kinds of traffic a shard sees, plus parking:
 //
 //  * LocalFifo — intra-shard delivery. A plain growable ring buffer, one per
 //    rank, touched only by the worker thread that owns the rank's shard, so
 //    pushes and pops are straight-line code with no atomics or locks.
 //
-//  * SpscRing — cross-shard delivery, default path. One bounded lock-free
-//    ring per *ordered shard pair*: exactly one producing shard, exactly one
+//  * SpscRing — cross-shard delivery. One bounded lock-free ring per
+//    *ordered shard pair*: exactly one producing shard, exactly one
 //    consuming shard, so the only synchronization is an acquire/release pair
 //    on the head and tail indices. Batches amortize even that: one release
 //    store publishes a whole staged batch, one acquire load claims every
 //    pending envelope. Per-sender FIFO holds by construction — a sender's
 //    envelopes to one destination traverse a single ring in push order.
 //
-//  * ShardInbox — cross-shard delivery, legacy path (EngineOptions::
-//    cross_shard = kLockedInbox). One bounded MPSC inbox per shard:
-//    producing shards append whole batches under a single lock acquisition
-//    and the owner drains everything with one swap. Kept for interleaved
-//    A/B against the mesh.
-//
-//  * Doorbell — parking for the mesh path, where there is no inbox lock to
-//    sleep on. An eventcount: waiters advertise themselves, producers ring
-//    only when someone is parked, and a seq_cst fence pair on each side
-//    closes the classic sleep/publish race (same lost-wakeup discipline as
-//    ShardInbox::kick, without touching the mutex on the hot path).
+//  * Doorbell — parking without a lock on the hot path. An eventcount:
+//    waiters advertise themselves, producers ring only when someone is
+//    parked, and a seq_cst fence pair on each side closes the classic
+//    sleep/publish race.
 
 #include <algorithm>
 #include <atomic>
@@ -114,8 +107,7 @@ class LocalFifo {
 /// each side caching the other's last-seen index), so an uncontended
 /// push+pop round trip costs two atomic RMW-free publishes. Capacity is
 /// rounded up to a power of two. Backpressure is cooperative: push_batch
-/// accepts a prefix and the producer keeps the rest staged, exactly like
-/// the locked inbox path.
+/// accepts a prefix and the producer keeps the rest staged.
 class SpscRing {
  public:
   explicit SpscRing(std::size_t capacity)
@@ -189,7 +181,7 @@ class SpscRing {
   }
 
   /// Resets the ring between epochs. Caller must guarantee both sides are
-  /// quiescent (the engine's epoch barrier does).
+  /// quiescent (the engine's session barrier does).
   void clear() noexcept {
     head_.store(0, std::memory_order_relaxed);
     tail_.store(0, std::memory_order_relaxed);
@@ -227,8 +219,9 @@ class Doorbell {
     cv_.notify_all();
   }
 
-  /// Unconditional wake (epoch end, shutdown) — the once-per-epoch analogue
-  /// of ShardInbox::kick.
+  /// Unconditional wake (slot transitions, shutdown). Unlike notify() it is
+  /// not ordered against a concurrent wait entry: a waiter that had not yet
+  /// advertised itself sleeps until its timeout.
   void kick() {
     {
       const std::scoped_lock lock(mutex_);
@@ -259,82 +252,6 @@ class Doorbell {
   std::mutex mutex_;
   std::condition_variable cv_;
   std::uint64_t generation_ = 0;
-};
-
-/// Bounded MPSC inbox: many producing shards, one draining owner. Producers
-/// that hit the capacity keep the overflow staged on their side and retry
-/// next pass, so backpressure never blocks inside the lock.
-class ShardInbox {
- public:
-  explicit ShardInbox(std::size_t capacity) : capacity_(std::max<std::size_t>(capacity, 1)) {}
-
-  /// Appends as many of the `n` envelopes at `data` (front first, preserving
-  /// order) as capacity allows under one lock; returns how many were
-  /// accepted.
-  std::size_t push_batch(const Envelope* data, std::size_t n) {
-    std::size_t accepted = 0;
-    bool was_empty = false;
-    {
-      const std::scoped_lock lock(mutex_);
-      was_empty = queue_.empty();
-      accepted = std::min(n, capacity_ - queue_.size());
-      queue_.insert(queue_.end(), data, data + accepted);
-    }
-    if (accepted > 0 && was_empty) cv_.notify_one();
-    return accepted;
-  }
-
-  std::size_t push_batch(const std::vector<Envelope>& batch) {
-    return push_batch(batch.data(), batch.size());
-  }
-
-  /// Park predicate for the Transport seam; exact only under the lock, which
-  /// is fine — wait_for_mail re-checks under it.
-  bool has_mail() const {
-    const std::scoped_lock lock(mutex_);
-    return !queue_.empty();
-  }
-
-  /// Owner side: moves the whole pending batch into `out` (pass it empty;
-  /// its storage is recycled as the next queue backing).
-  void drain_into(std::vector<Envelope>& out) {
-    const std::scoped_lock lock(mutex_);
-    queue_.swap(out);
-  }
-
-  /// Owner side: blocks until mail arrives, a kick() fires, or `timeout`
-  /// elapses. Same generation-counter predicate as Mailbox::pop_for — a
-  /// kick for a run-wide state change must not be lost to a race with wait
-  /// entry.
-  template <class Rep, class Period>
-  void wait_for_mail(std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock lock(mutex_);
-    const std::uint64_t entry_generation = kick_generation_;
-    cv_.wait_for(lock, timeout, [&] {
-      return !queue_.empty() || kick_generation_ != entry_generation;
-    });
-  }
-
-  /// Wakes a blocked wait_for_mail even without mail (epoch end, shutdown).
-  void kick() {
-    {
-      const std::scoped_lock lock(mutex_);
-      ++kick_generation_;
-    }
-    cv_.notify_all();
-  }
-
-  void clear() {
-    const std::scoped_lock lock(mutex_);
-    queue_.clear();
-  }
-
- private:
-  std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::uint64_t kick_generation_ = 0;
-  std::vector<Envelope> queue_;
 };
 
 }  // namespace ct::rt

@@ -2,13 +2,11 @@
 // Pluggable cross-shard transport seam (DESIGN.md §4j). The sharded engine
 // stages outgoing envelopes per destination shard during a scheduling pass
 // and moves them — plus parking, wakeup and the has-mail poll — through this
-// interface instead of code welded into engine_sharded.cpp. Three transports
+// interface instead of code welded into engine_sharded.cpp. Two transports
 // implement it:
 //
-//  * MeshTransport  (transport_mem.hpp) — the default lock-free SPSC ring
-//    mesh with per-shard mail masks and Doorbell parking.
-//  * InboxTransport (transport_mem.hpp) — the legacy bounded MPSC
-//    ShardInbox, kept for interleaved A/B runs.
+//  * MeshTransport  (transport_mem.hpp) — the lock-free SPSC ring mesh with
+//    per-shard mail masks and Doorbell parking.
 //  * UdpTransport   (udp_transport.hpp) — real POSIX UDP datagrams between
 //    OS processes with a perfect-links reliability layer; "shard" becomes
 //    "peer process".
@@ -18,7 +16,7 @@
 // pass — never O(messages) — and the ≥0.95x in-process A/B gate against the
 // pre-seam engine holds. Per-envelope delivery on the poll side goes
 // through EnvelopeSink, a non-owning two-word callable (context + function
-// pointer), because the stream executor routes each envelope by its epoch
+// pointer), because the engine routes each envelope by its epoch
 // tag and a plain LocalFifo& target would force an intermediate copy.
 //
 // Contract:
@@ -29,9 +27,9 @@
 //  * poll_into drains everything currently pending for `to` and returns
 //    the count; has_mail is the cheap park predicate.
 //  * park blocks the owner of `to` until mail, a kick, or the timeout;
-//    kick wakes it unconditionally (epoch end, shutdown).
+//    kick wakes it unconditionally (slot transitions, shutdown).
 //  * flush lets a transport with deferred work (datagram packing,
-//    retransmit timers) make progress; the in-memory transports publish
+//    retransmit timers) make progress; the in-memory transport publishes
 //    eagerly in send_batch and keep it a no-op.
 //  * clear resets between epochs with both sides quiescent.
 
@@ -83,15 +81,15 @@ class Transport {
   /// `timeout` elapses. Must tolerate spurious wakeups.
   virtual void park(std::size_t to, std::chrono::nanoseconds timeout) = 0;
 
-  /// Unconditional wakeup of shard `to`'s park (epoch end, shutdown).
+  /// Unconditional wakeup of shard `to`'s park (slot transitions, shutdown).
   virtual void kick(std::size_t to) = 0;
 
   /// Deferred-work hook for shard `from` (datagram packing, retransmits).
-  /// The in-memory transports publish eagerly and keep this a no-op.
+  /// The in-memory transport publishes eagerly and keeps this a no-op.
   virtual void flush(std::size_t from) { static_cast<void>(from); }
 
   /// Resets all queues between epochs. Caller guarantees both sides are
-  /// quiescent (the engine's epoch barrier does).
+  /// quiescent (the engine's session barrier does).
   virtual void clear() = 0;
 };
 

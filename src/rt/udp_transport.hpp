@@ -8,7 +8,8 @@
 // piggybacked cumulative + selective acks, and (peer, seq) dedup — the
 // perfect-links contract (no loss, no duplication) the unchanged
 // sim::Protocol state machines assume, without FIFO ordering they never
-// needed (both executors already deliver cross-rank mail out of order).
+// needed (the in-process executor already delivers cross-rank mail out of
+// order).
 //
 // Datagram layout (host byte order — the transport is loopback-only):
 //

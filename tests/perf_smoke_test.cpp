@@ -6,9 +6,7 @@
 // handlers that push same-tick work mid-drain; the PR7 SoA key lane is
 // checked against an AoS reference heap ordered by Event::operator> (the
 // reference total order the 16-byte EventKey must reproduce); full runs are
-// compared bit-for-bit across the two queue engines; and the rt mesh and
-// locked-inbox cross-shard backends are held to identical outcomes under
-// kill= crashes.
+// compared bit-for-bit across the two queue engines.
 
 #include <gtest/gtest.h>
 
@@ -203,27 +201,6 @@ TEST(PerfSmoke, SweepDigestBitIdenticalAcrossQueueEngines) {
     EXPECT_EQ(a.events_processed, b.events_processed) << "rep " << rep;
     EXPECT_EQ(a.uncolored_live, b.uncolored_live) << "rep " << rep;
   }
-}
-
-TEST(PerfSmoke, MeshAndInboxAgreeUnderKillCrashes) {
-  // The copy-free delivery path (in-place outbox refs + consume_all into
-  // the fifos) must not change outcomes on either cross-shard backend, and
-  // the two backends must agree with each other — including when kill=
-  // victims crash mid-epoch and their in-flight traffic is discarded.
-  const char* kBase =
-      "bcast:binomial:checked:overlapped@P=128,kill=3+17+64,reps=2,warmup=1,"
-      "deadline-ms=10000,exec=rt-sharded:w=4";
-  const exp::RunRecord mesh = exp::run(exp::parse_run_spec(kBase));
-  const exp::RunRecord inbox =
-      exp::run(exp::parse_run_spec(std::string(kBase) + ":inbox"));
-  const std::vector<topo::Rank> killed{3, 17, 64};
-  EXPECT_EQ(mesh.crashed_ranks, killed);
-  EXPECT_EQ(inbox.crashed_ranks, killed);
-  EXPECT_EQ(mesh.uncolored_survivors, inbox.uncolored_survivors);
-  EXPECT_EQ(mesh.incomplete, inbox.incomplete);
-  EXPECT_EQ(mesh.timeouts, 0);
-  EXPECT_EQ(inbox.timeouts, 0);
-  EXPECT_GT(mesh.messages_per_sec, 0.0);
 }
 
 }  // namespace

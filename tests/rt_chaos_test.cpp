@@ -1,5 +1,5 @@
 // Chaos-layer tests (DESIGN.md §4d): ChaosPlan determinism, mid-epoch
-// crash termination under both executors, sim/rt fault-model parity,
+// crash termination, sim/rt fault-model parity,
 // deadline-expiry degradation reports, and link-perturbation accounting.
 // Registered under the fast `chaos-smoke` ctest label.
 
@@ -180,7 +180,7 @@ TEST(ChaosParity, SimAndRtAgreeOnSurvivorColoringUnderMidBroadcastDeaths) {
   }
 }
 
-TEST(ChaosParity, LegacyExecutorMatchesSimForCheckedCorrection) {
+TEST(ChaosParity, SingleShardMatchesSimForCheckedCorrection) {
   const Rank procs = 16;
   support::Xoshiro256ss rng(0xB0B0u);
   for (int scenario = 0; scenario < 3; ++scenario) {
@@ -190,52 +190,44 @@ TEST(ChaosParity, LegacyExecutorMatchesSimForCheckedCorrection) {
     SCOPED_TRACE(cell);
     const exp::RunRecord expected = run_cell(cell, "exec=sim");
     EXPECT_TRUE(expected.uncolored_survivors.empty());  // checked reaches everyone
-    const exp::RunRecord actual = run_cell(cell, "exec=rt-tpr");
+    const exp::RunRecord actual = run_cell(cell, "exec=rt-sharded:w=1");
     EXPECT_EQ(actual.uncolored_survivors, expected.uncolored_survivors);
     EXPECT_EQ(actual.crashed_ranks, victims);
   }
 }
 
-TEST(ChaosEngine, MidEpochCrashesTerminateUnderBothExecutors) {
+TEST(ChaosEngine, MidEpochCrashesTerminate) {
   const Rank procs = 96;
   const topo::Tree tree = topo::make_binomial_interleaved(procs);
-  for (const Threading threading :
-       {Threading::kSharded, Threading::kThreadPerRank}) {
-    // Thread-per-rank spawns an OS thread per rank; keep it smaller.
-    const Rank p = threading == Threading::kSharded ? procs : Rank{32};
-    const topo::Tree& t =
-        threading == Threading::kSharded ? tree : topo::make_binomial_interleaved(p);
-    EngineOptions options;
-    options.threading = threading;
-    if (threading == Threading::kSharded) options.workers = 4;
-    Engine engine(p, std::vector<char>(static_cast<std::size_t>(p), 0), options);
-    ChaosOptions chaos;
-    chaos.seed = 0xDEAD;
-    chaos.crash_fraction = 0.08;
-    chaos.crash_window_ns = 500'000;  // inside dissemination/correction
-    engine.set_chaos(ChaosPlan(chaos));
-    std::int64_t crashes = 0;
-    for (int epoch = 0; epoch < 6; ++epoch) {
-      proto::CorrectedTreeBroadcast protocol(
-          t, make_correction(proto::CorrectionKind::kChecked));
-      const EpochResult result = engine.run_epoch(protocol, std::chrono::seconds(60));
-      ASSERT_FALSE(result.timed_out) << "epoch " << epoch;
-      EXPECT_EQ(result.uncolored_live, 0) << "epoch " << epoch;
-      crashes += result.crashed_mid_epoch;
-      EXPECT_EQ(result.crashed_mid_epoch,
-                static_cast<std::int32_t>(result.crashed_ranks.size()));
-      EXPECT_EQ(result.rank_state.size(), static_cast<std::size_t>(p));
-      for (Rank r : result.crashed_ranks) {
-        EXPECT_EQ(result.rank_state[static_cast<std::size_t>(r)], RankEnd::kCrashed);
-      }
-      // Crashed ranks are reported in rank_completion_ns (they were live at
-      // start) but never completed.
-      EXPECT_EQ(result.rank_completion_ns.size(), static_cast<std::size_t>(p));
+  EngineOptions options;
+  options.workers = 4;
+  Engine engine(procs, std::vector<char>(static_cast<std::size_t>(procs), 0), options);
+  ChaosOptions chaos;
+  chaos.seed = 0xDEAD;
+  chaos.crash_fraction = 0.08;
+  chaos.crash_window_ns = 500'000;  // inside dissemination/correction
+  engine.set_chaos(ChaosPlan(chaos));
+  std::int64_t crashes = 0;
+  for (int epoch = 0; epoch < 6; ++epoch) {
+    proto::CorrectedTreeBroadcast protocol(
+        tree, make_correction(proto::CorrectionKind::kChecked));
+    const EpochResult result = engine.run_epoch(protocol, std::chrono::seconds(60));
+    ASSERT_FALSE(result.timed_out) << "epoch " << epoch;
+    EXPECT_EQ(result.uncolored_live, 0) << "epoch " << epoch;
+    crashes += result.crashed_mid_epoch;
+    EXPECT_EQ(result.crashed_mid_epoch,
+              static_cast<std::int32_t>(result.crashed_ranks.size()));
+    EXPECT_EQ(result.rank_state.size(), static_cast<std::size_t>(procs));
+    for (Rank r : result.crashed_ranks) {
+      EXPECT_EQ(result.rank_state[static_cast<std::size_t>(r)], RankEnd::kCrashed);
     }
-    // With an 8% per-epoch crash rate over 6 epochs someone must have died;
-    // the run completing anyway is the point of the countdown credit.
-    EXPECT_GT(crashes, 0);
+    // Crashed ranks are reported in rank_completion_ns (they were live at
+    // start) but never completed.
+    EXPECT_EQ(result.rank_completion_ns.size(), static_cast<std::size_t>(procs));
   }
+  // With an 8% per-epoch crash rate over 6 epochs someone must have died;
+  // the run completing anyway is the point of the countdown credit.
+  EXPECT_GT(crashes, 0);
 }
 
 TEST(ChaosEngine, SendBudgetCrashKillsRankMidSend) {
@@ -446,38 +438,34 @@ TEST(SurvivorAgreement, RtSurvivorsAgreeOnTheSurvivorOnlyReduction) {
     }
     ASSERT_LT(expected, procs - 1);  // the lost max is really observable
 
-    for (const Threading threading :
-         {Threading::kSharded, Threading::kThreadPerRank}) {
-      SCOPED_TRACE(threading == Threading::kSharded ? "sharded" : "tpr");
-      EngineOptions options;
-      options.threading = threading;
-      if (threading == Threading::kSharded) options.workers = 4;
-      Engine engine(procs, std::vector<char>(static_cast<std::size_t>(procs), 0),
-                    options);
-      ChaosPlan plan;
-      for (const Rank v : victims) plan.kill_at_ns(v, 0);
-      engine.set_chaos(std::move(plan));
+    EngineOptions options;
+    options.workers = 4;
+    Engine engine(procs, std::vector<char>(static_cast<std::size_t>(procs), 0),
+                  options);
+    ChaosPlan plan;
+    for (const Rank v : victims) plan.kill_at_ns(v, 0);
+    engine.set_chaos(std::move(plan));
 
-      proto::AllReduceConfig config;
-      config.reduce.distance = 4;  // gather guarantee needs failures <= distance
-      config.correction = make_correction(proto::CorrectionKind::kChecked);
-      proto::CorrectedAllReduce protocol(tree, params, values, config);
-      const EpochResult result = engine.run_epoch(protocol, std::chrono::seconds(60));
-      ASSERT_FALSE(result.timed_out);
-      // Every survivor colored = every survivor holds the result broadcast,
-      // i.e. all survivors agree on one reduction value.
-      EXPECT_EQ(result.uncolored_live, 0);
-      EXPECT_EQ(result.crashed_ranks, victims);
-      EXPECT_TRUE(protocol.reduction_done());
-      EXPECT_GE(protocol.result(), 0);
-      EXPECT_LE(protocol.result(), expected);  // dead values never resurrect
-    }
+    proto::AllReduceConfig config;
+    config.reduce.distance = 4;  // gather guarantee needs failures <= distance
+    config.correction = make_correction(proto::CorrectionKind::kChecked);
+    proto::CorrectedAllReduce protocol(tree, params, values, config);
+    const EpochResult result = engine.run_epoch(protocol, std::chrono::seconds(60));
+    ASSERT_FALSE(result.timed_out);
+    // Every survivor colored = every survivor holds the result broadcast,
+    // i.e. all survivors agree on one reduction value.
+    EXPECT_EQ(result.uncolored_live, 0);
+    EXPECT_EQ(result.crashed_ranks, victims);
+    EXPECT_TRUE(protocol.reduction_done());
+    EXPECT_GE(protocol.result(), 0);
+    EXPECT_LE(protocol.result(), expected);  // dead values never resurrect
   }
 }
 
 TEST(SurvivorAgreement, SpecDrivenAllreduceCellsAgreeAcrossSubstrates) {
-  // The same allreduce cell under exec=sim and both rt executors: identical
-  // survivor-coloring outcome, nobody left without the result.
+  // The same allreduce cell under exec=sim and rt-sharded on four shards
+  // and on one: identical survivor-coloring outcome, nobody left without
+  // the result.
   const Rank procs = 24;
   support::Xoshiro256ss rng(0xA33Du);
   for (int scenario = 0; scenario < 3; ++scenario) {
@@ -487,7 +475,7 @@ TEST(SurvivorAgreement, SpecDrivenAllreduceCellsAgreeAcrossSubstrates) {
     const exp::RunRecord expected = run_cell(cell, "exec=sim");
     EXPECT_TRUE(expected.uncolored_survivors.empty());  // checked reaches all
     EXPECT_EQ(expected.incomplete, 0);
-    for (const char* executor : {"exec=rt-sharded:w=4", "exec=rt-tpr"}) {
+    for (const char* executor : {"exec=rt-sharded:w=4", "exec=rt-sharded:w=1"}) {
       const exp::RunRecord actual = run_cell(cell, executor);
       EXPECT_EQ(actual.uncolored_survivors, expected.uncolored_survivors);
       EXPECT_EQ(actual.crashed_ranks, victims);

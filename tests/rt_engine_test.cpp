@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
+#include "experiment/run_spec.hpp"
 #include "protocol/ack_tree.hpp"
 #include "protocol/gossip_broadcast.hpp"
 #include "protocol/tree_broadcast.hpp"
@@ -119,6 +121,31 @@ TEST(RtEngine, TimesOutWhenProtocolCannotComplete) {
   EXPECT_TRUE(result.timed_out);
 }
 
+TEST(RtEngine, ThrowingBeginLeavesTheEngineUsable) {
+  // A protocol that rejects its configuration in begin() (as synchronized
+  // correction does without a sync time) must surface the exception and
+  // leave the engine able to run the next epoch.
+  class ThrowingBegin final : public sim::Protocol {
+   public:
+    void begin(sim::Context&) override { throw std::invalid_argument("bad config"); }
+    void on_receive(sim::Context&, Rank, const sim::Message&) override {}
+    void on_sent(sim::Context&, Rank, const sim::Message&) override {}
+  };
+  const Rank procs = 16;
+  const topo::Tree tree = topo::make_binomial_interleaved(procs);
+  EngineOptions options;
+  options.workers = 4;
+  Engine engine(procs, no_failures(procs), options);
+  for (int round = 0; round < 2; ++round) {
+    ThrowingBegin bad;
+    EXPECT_THROW(engine.run_epoch(bad, std::chrono::seconds(20)), std::invalid_argument);
+    proto::CorrectedTreeBroadcast protocol(tree, opportunistic(2));
+    const EpochResult result = engine.run_epoch(protocol, std::chrono::seconds(20));
+    EXPECT_FALSE(result.timed_out) << "round " << round;
+    EXPECT_EQ(result.uncolored_live, 0) << "round " << round;
+  }
+}
+
 TEST(RtEngine, ValidatesConstruction) {
   EXPECT_THROW(Engine(4, std::vector<char>{1, 0, 0, 0}), std::invalid_argument);
   EXPECT_THROW(Engine(4, std::vector<char>{0, 0}), std::invalid_argument);
@@ -181,8 +208,8 @@ TEST(RtHarness, AllTimeoutRunReportsZeroPercentilesNotNaN) {
 // --- Sharded scheduler: shard-boundary suite -------------------------------
 // The sharded engine carves [0, P) into contiguous slices of ceil(P/N)
 // ranks; these tests pin the boundary cases (uneven split, dead slices,
-// degenerate single shard, all-cross-shard traffic) and the A/B contract
-// against the legacy thread-per-rank executor.
+// degenerate single shard, all-cross-shard traffic) and survivor-coloring
+// parity with the simulator.
 
 TEST(RtSharded, UnevenRankSplitColorsEveryone) {
   // P = 17 over 3 workers: slices of 6, 6 and 5 ranks.
@@ -276,7 +303,7 @@ TEST(RtSharded, SingleLiveRankAmongManyWorkers) {
 
 TEST(RtSharded, SingleShardDegenerateCase) {
   // One worker owns everything: the scheduler reduces to a sequential
-  // event loop, with no cross-shard inbox traffic at all.
+  // event loop, with no cross-shard ring traffic at all.
   const Rank procs = 24;
   const topo::Tree tree = topo::make_binomial_interleaved(procs);
   std::vector<char> failed = no_failures(procs);
@@ -298,7 +325,7 @@ TEST(RtSharded, SingleShardDegenerateCase) {
 
 TEST(RtSharded, CrossShardOnlyTree) {
   // One rank per shard: every tree edge crosses shards, so the whole
-  // broadcast flows through the MPSC inboxes.
+  // broadcast flows through the SPSC ring mesh.
   const Rank procs = 8;
   const topo::Tree tree = topo::make_binomial_interleaved(procs);
   EngineOptions options;
@@ -322,13 +349,14 @@ TEST(RtSharded, WorkerCountClampsToRanks) {
 }
 
 TEST(RtSharded, TinyInboxBackpressureStillDelivers) {
-  // Capacity 2 forces partial batch flushes and staged retries; ordering
-  // and completeness must survive the backpressure.
+  // Each shard's inbox is its column of SPSC rings. Capacity 2 forces
+  // partial batch flushes and staged retries; ordering and completeness
+  // must survive the backpressure.
   const Rank procs = 32;
   const topo::Tree tree = topo::make_binomial_interleaved(procs);
   EngineOptions options;
   options.workers = 4;
-  options.inbox_capacity = 2;
+  options.mesh_capacity = 2;
   Engine engine(procs, no_failures(procs), options);
   proto::CorrectedTreeBroadcast protocol(tree, opportunistic(2));
   const EpochResult result = engine.run_epoch(protocol, std::chrono::seconds(20));
@@ -336,44 +364,38 @@ TEST(RtSharded, TinyInboxBackpressureStillDelivers) {
   EXPECT_EQ(result.uncolored_live, 0);
 }
 
-TEST(RtSharded, MatchesThreadPerRankOutcomes) {
-  // A/B: identical scenario on both executors must produce the identical
-  // protocol outcome (everyone colored; same message count for the
-  // deterministic fault-free tree).
+TEST(RtSharded, MatchesSimOutcomes) {
+  // Survivor-coloring parity with the simulator over the six correction
+  // configs, on a single shard — the sequential event loop, where every
+  // epoch of one engine shares one worker's run queue. The kill= victims
+  // die before sending anything, so the outcome is the timing-independent
+  // coverage of the correction algorithm.
   const Rank procs = 48;
-  const topo::Tree tree = topo::make_binomial_interleaved(procs);
-  std::vector<char> failed = no_failures(procs);
-  failed[3] = failed[21] = 1;
-
-  auto run = [&](Threading threading, const std::vector<char>& faults,
-                 proto::CorrectionKind kind) {
-    EngineOptions options;
-    options.threading = threading;
-    options.workers = 4;
-    Engine engine(procs, faults, options);
-    proto::CorrectionConfig config;
-    config.kind = kind;
-    config.start = proto::CorrectionStart::kOverlapped;
-    proto::CorrectedTreeBroadcast protocol(tree, config);
-    return engine.run_epoch(protocol, std::chrono::seconds(20));
+  const struct {
+    const char* correction;
+    bool completes;  // guaranteed to color every survivor -> no timeout
+  } kinds[] = {
+      {"none", false},    {"opportunistic-plain:4", false}, {"opportunistic:4", false},
+      {"checked", true},  {"failure-proof", true},          {"delayed", true},
   };
-
-  const EpochResult sharded_clean =
-      run(Threading::kSharded, no_failures(procs), proto::CorrectionKind::kNone);
-  const EpochResult legacy_clean =
-      run(Threading::kThreadPerRank, no_failures(procs), proto::CorrectionKind::kNone);
-  EXPECT_EQ(sharded_clean.uncolored_live, 0);
-  EXPECT_EQ(legacy_clean.uncolored_live, 0);
-  EXPECT_EQ(sharded_clean.total_messages, legacy_clean.total_messages);
-
-  const EpochResult sharded_faulty =
-      run(Threading::kSharded, failed, proto::CorrectionKind::kChecked);
-  const EpochResult legacy_faulty =
-      run(Threading::kThreadPerRank, failed, proto::CorrectionKind::kChecked);
-  EXPECT_FALSE(sharded_faulty.timed_out);
-  EXPECT_FALSE(legacy_faulty.timed_out);
-  EXPECT_EQ(sharded_faulty.uncolored_live, 0);
-  EXPECT_EQ(legacy_faulty.uncolored_live, 0);
+  for (const auto& k : kinds) {
+    const std::string cell = std::string("bcast:binomial:") + k.correction +
+                             ":overlapped@P=" + std::to_string(procs) +
+                             ",kill=3+21+40,reps=3,warmup=0";
+    SCOPED_TRACE(cell);
+    const exp::RunRecord sim = exp::run(exp::parse_run_spec(cell + ",exec=sim"));
+    const bool bounded = !k.completes && !sim.uncolored_survivors.empty();
+    const exp::RunRecord rt = exp::run(exp::parse_run_spec(
+        cell + (bounded ? ",deadline-ms=400" : "") + ",exec=rt-sharded:w=1"));
+    EXPECT_EQ(rt.uncolored_survivors, sim.uncolored_survivors);
+    EXPECT_EQ(rt.crashed_ranks, sim.crashed_ranks);
+    // An epoch that leaves a survivor uncolored runs into its deadline on
+    // the runtime, so it counts as a timeout there.
+    EXPECT_EQ(rt.incomplete + rt.timeouts > 0, sim.incomplete > 0);
+    if (k.completes) {
+      EXPECT_EQ(rt.timeouts, 0);
+    }
+  }
 }
 
 TEST(RtSharded, PrototypeScaleEpochCompletesQuickly) {

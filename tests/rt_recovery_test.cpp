@@ -289,8 +289,7 @@ TEST(RepairApi, GenerationWrapsModulo256) {
 // *contiguous* subtree uncolored — a ring gap wider than distance-1
 // opportunistic correction can bridge, so without repair every epoch
 // re-runs the gap and stays degraded. An epoch-boundary rebuild over the
-// survivors removes the gap entirely, so the very next epoch is clean —
-// on both executors.
+// survivors removes the gap entirely, so the very next epoch is clean.
 TEST(Repair, RebuildsTheTreeOverSurvivorsAfterAnInnerNodeDeath) {
   const Rank procs = 32;
   topo::TreeSpec tree_spec;
@@ -313,58 +312,52 @@ TEST(Repair, RebuildsTheTreeOverSurvivorsAfterAnInnerNodeDeath) {
   }
   ASSERT_NE(victim, topo::kNoRank);
 
-  for (const Threading threading :
-       {Threading::kSharded, Threading::kThreadPerRank}) {
-    SCOPED_TRACE(threading == Threading::kSharded ? "sharded" : "tpr");
-    EngineOptions options;
-    options.threading = threading;
-    if (threading == Threading::kSharded) options.workers = 4;
-    options.repair = true;
-    options.epoch_deadline = std::chrono::milliseconds(250);
-    Engine engine(procs, no_failures(procs), options);
-    ChaosPlan plan;
-    plan.kill_at_ns(victim, 0);
-    engine.set_chaos(std::move(plan));
-    const auto correction =
-        make_correction(proto::CorrectionKind::kOpportunistic, /*distance=*/1);
+  EngineOptions options;
+  options.workers = 4;
+  options.repair = true;
+  options.epoch_deadline = std::chrono::milliseconds(250);
+  Engine engine(procs, no_failures(procs), options);
+  ChaosPlan plan;
+  plan.kill_at_ns(victim, 0);
+  engine.set_chaos(std::move(plan));
+  const auto correction =
+      make_correction(proto::CorrectionKind::kOpportunistic, /*distance=*/1);
 
-    // Epoch 0: the victim dies before forwarding; the distance-1 ring
-    // cannot bridge its subtree-wide gap, so the epoch ends degraded at
-    // the deadline.
-    proto::CorrectedTreeBroadcast first(tree, correction);
-    const EpochResult injured =
-        engine.run_epoch(first, std::chrono::seconds(60));
-    EXPECT_TRUE(injured.degraded());
-    const std::vector<Rank> victims = {victim};
-    EXPECT_EQ(injured.crashed_ranks, victims);
+  // Epoch 0: the victim dies before forwarding; the distance-1 ring
+  // cannot bridge its subtree-wide gap, so the epoch ends degraded at
+  // the deadline.
+  proto::CorrectedTreeBroadcast first(tree, correction);
+  const EpochResult injured =
+      engine.run_epoch(first, std::chrono::seconds(60));
+  EXPECT_TRUE(injured.degraded());
+  const std::vector<Rank> victims = {victim};
+  EXPECT_EQ(injured.crashed_ranks, victims);
 
-    // Repair at the boundary: persist the death, rebuild over survivors.
-    ASSERT_TRUE(engine.repair_membership(injured.crashed_ranks, {}));
-    const MembershipView& view = engine.membership();
-    ASSERT_EQ(view.num_live(), procs - 1);
-    const topo::Tree repaired =
-        topo::make_survivor_tree(tree_spec, view.num_live());
+  // Repair at the boundary: persist the death, rebuild over survivors.
+  ASSERT_TRUE(engine.repair_membership(injured.crashed_ranks, {}));
+  const MembershipView& view = engine.membership();
+  ASSERT_EQ(view.num_live(), procs - 1);
+  const topo::Tree repaired =
+      topo::make_survivor_tree(tree_spec, view.num_live());
 
-    // Epochs 1..3: same weak correction, yet clean — the gap is gone.
-    for (int epoch = 1; epoch <= 3; ++epoch) {
-      auto protocol =
-          std::make_unique<proto::CorrectedTreeBroadcast>(repaired, correction);
-      RemappedProtocol remapped(std::move(protocol), view);
-      const EpochResult result =
-          engine.run_epoch(remapped, std::chrono::seconds(60));
-      EXPECT_FALSE(result.degraded()) << "epoch " << epoch;
-      EXPECT_EQ(result.uncolored_live, 0) << "epoch " << epoch;
-      EXPECT_TRUE(result.crashed_ranks.empty()) << "epoch " << epoch;
-    }
+  // Epochs 1..3: same weak correction, yet clean — the gap is gone.
+  for (int epoch = 1; epoch <= 3; ++epoch) {
+    auto protocol =
+        std::make_unique<proto::CorrectedTreeBroadcast>(repaired, correction);
+    RemappedProtocol remapped(std::move(protocol), view);
+    const EpochResult result =
+        engine.run_epoch(remapped, std::chrono::seconds(60));
+    EXPECT_FALSE(result.degraded()) << "epoch " << epoch;
+    EXPECT_EQ(result.uncolored_live, 0) << "epoch " << epoch;
+    EXPECT_TRUE(result.crashed_ranks.empty()) << "epoch " << epoch;
   }
 }
 
 // --- continuous crash + revive convergence (the PR9 acceptance gate) --------
 
-void soak(Threading threading, Rank procs, std::int64_t epochs) {
+void soak(Rank procs, std::int64_t epochs) {
   EngineOptions options;
-  options.threading = threading;
-  if (threading == Threading::kSharded) options.workers = 4;
+  options.workers = 4;
   options.repair = true;
   Engine engine(procs, no_failures(procs), options);
   ChaosOptions chaos;
@@ -391,9 +384,9 @@ void soak(Threading threading, Rank procs, std::int64_t epochs) {
   HarnessOptions harness;
   harness.warmup = 2;
   harness.iterations = epochs;
-  // 512 thread-per-rank threads under a sanitizer run ~15x slow; the soak
-  // asserts timeouts == 0, so give each epoch headroom instead of letting
-  // instrumentation overhead masquerade as a recovery failure.
+  // Sanitizers run the soak many times slower; it asserts timeouts == 0,
+  // so give each epoch headroom instead of letting instrumentation
+  // overhead masquerade as a recovery failure.
   harness.epoch_timeout = std::chrono::seconds(120);
   const HarnessResult result = rt::measure_recovery(engine, factory, harness);
 
@@ -415,13 +408,7 @@ void soak(Threading threading, Rank procs, std::int64_t epochs) {
   EXPECT_LE(result.epochs_to_converge, 3);
 }
 
-TEST(Recovery, ContinuousCrashReviveConvergesSharded) {
-  soak(Threading::kSharded, 512, 20);
-}
-
-TEST(Recovery, ContinuousCrashReviveConvergesThreadPerRank) {
-  soak(Threading::kThreadPerRank, 512, 6);
-}
+TEST(Recovery, ContinuousCrashReviveConvergesSharded) { soak(512, 20); }
 
 // --- streaming repair -------------------------------------------------------
 

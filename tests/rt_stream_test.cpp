@@ -70,29 +70,56 @@ TEST(RtStream, WindowedStreamColorsEveryEpoch) {
 TEST(RtStream, WindowOneMatchesOneShotSemantics) {
   const Rank procs = 16;
   const topo::Tree tree = topo::make_binomial_interleaved(procs);
-  Engine engine(procs, no_failures(procs));
-
   StreamOptions options;
   options.epochs = 6;
   options.window = 1;
   options.epoch_timeout = std::chrono::seconds(20);
+
+  {
+    // One worker: the schedule is a deterministic sequential event loop, so
+    // a W = 1 stream epoch and a one-shot run_epoch — the same slot path —
+    // send exactly the same messages.
+    EngineOptions engine_options;
+    engine_options.workers = 1;
+    Engine engine(procs, no_failures(procs), engine_options);
+    const StreamHarnessResult stream =
+        measure_stream(engine, tree_factory(tree, opportunistic(2)), options);
+    EXPECT_EQ(stream.timeouts, 0);
+    EXPECT_EQ(stream.incomplete, 0);
+    for (int i = 0; i < 3; ++i) {
+      proto::CorrectedTreeBroadcast one_shot(tree, opportunistic(2));
+      const EpochResult epoch = engine.run_epoch(one_shot, std::chrono::seconds(20));
+      EXPECT_FALSE(epoch.timed_out);
+      for (const StreamEpoch& streamed : stream.raw.epochs) {
+        EXPECT_EQ(streamed.messages, epoch.total_messages);
+      }
+    }
+    // W = 1 serializes: epochs retire in admission order.
+    for (std::size_t i = 1; i < stream.raw.epochs.size(); ++i) {
+      EXPECT_GE(stream.raw.epochs[i].begin_ns, stream.raw.epochs[i - 1].retire_ns);
+    }
+  }
+
+  // Several workers: wall-clock interleaving makes correction message
+  // counts vary from epoch to epoch on both paths, so assert what holds
+  // every time — no timeouts, every survivor colored, at least one message
+  // per tree edge.
+  EngineOptions engine_options;
+  engine_options.workers = 4;
+  Engine engine(procs, no_failures(procs), engine_options);
   const StreamHarnessResult stream =
       measure_stream(engine, tree_factory(tree, opportunistic(2)), options);
   EXPECT_EQ(stream.timeouts, 0);
   EXPECT_EQ(stream.incomplete, 0);
-
-  // The same protocol through run_epoch: identical message counts per epoch
-  // — W = 1 streaming is the one-shot schedule minus the barrier bracket.
+  for (const StreamEpoch& streamed : stream.raw.epochs) {
+    EXPECT_EQ(streamed.uncolored, 0);
+    EXPECT_GE(streamed.messages, procs - 1);
+  }
   proto::CorrectedTreeBroadcast one_shot(tree, opportunistic(2));
   const EpochResult epoch = engine.run_epoch(one_shot, std::chrono::seconds(20));
   EXPECT_FALSE(epoch.timed_out);
-  for (const StreamEpoch& streamed : stream.raw.epochs) {
-    EXPECT_EQ(streamed.messages, epoch.total_messages);
-  }
-  // W = 1 serializes: epochs retire in admission order.
-  for (std::size_t i = 1; i < stream.raw.epochs.size(); ++i) {
-    EXPECT_GE(stream.raw.epochs[i].begin_ns, stream.raw.epochs[i - 1].retire_ns);
-  }
+  EXPECT_EQ(epoch.uncolored_live, 0);
+  EXPECT_GE(epoch.total_messages, procs - 1);
 }
 
 TEST(RtStream, FailedRanksAreExcludedEveryEpoch) {
@@ -192,18 +219,6 @@ TEST(RtStream, AckTreeStreamsChunked) {
   }
 }
 
-TEST(RtStream, ThreadPerRankExecutorRejectsStreams) {
-  const Rank procs = 4;
-  const topo::Tree tree = topo::make_binomial_interleaved(procs);
-  EngineOptions engine_options;
-  engine_options.threading = Threading::kThreadPerRank;
-  Engine engine(procs, no_failures(procs), engine_options);
-  StreamOptions options;
-  options.epochs = 1;
-  EXPECT_THROW(engine.run_stream(tree_factory(tree, opportunistic(1)), options),
-               std::runtime_error);
-}
-
 TEST(RtStream, StreamThenOneShotEpochStaysClean) {
   const Rank procs = 16;
   const topo::Tree tree = topo::make_binomial_interleaved(procs);
@@ -215,7 +230,7 @@ TEST(RtStream, StreamThenOneShotEpochStaysClean) {
   const StreamHarnessResult stream =
       measure_stream(engine, tree_factory(tree, opportunistic(2)), options);
   EXPECT_EQ(stream.timeouts, 0);
-  // The engine must come back from stream mode able to run plain epochs.
+  // One-shot epochs reuse the stream's W = 4 window and stay clean.
   proto::CorrectedTreeBroadcast protocol(tree, opportunistic(2));
   const EpochResult epoch = engine.run_epoch(protocol, std::chrono::seconds(20));
   EXPECT_FALSE(epoch.timed_out);

@@ -1,9 +1,9 @@
-// Runtime stress: many epochs × many ranks × random fault sets on both
-// executor backends, sized for the `sanitize` ctest label (the tsan preset
-// runs exactly these tests). The point is not the protocol outcome — the
-// shard-boundary suite covers that — but hammering the concurrency
-// machinery: cross-shard MPSC batches, the epoch barrier, completion
-// counting, and the Mailbox kick()/pop_for() wake-up on the legacy path.
+// Runtime stress: many epochs × many ranks × random fault sets, sized for
+// the `sanitize` ctest label (the tsan preset runs exactly these tests).
+// The point is not the protocol outcome — the shard-boundary suite covers
+// that — but hammering the concurrency machinery: cross-shard ring
+// batches, the slot staging/launch/seal handshakes, and completion
+// counting.
 
 #include <gtest/gtest.h>
 
@@ -63,13 +63,14 @@ TEST(RtStress, ShardedManyEpochsManyRanksRandomFaults) {
 }
 
 TEST(RtStress, ShardedTinyInboxBackpressure) {
-  // Capacity-starved inboxes force partial flushes and retry loops across
-  // epochs — the staged-overflow path must stay race-free too.
+  // Capacity-starved inboxes (each shard's column of SPSC rings) force
+  // partial flushes and retry loops across epochs — the staged-overflow
+  // path must stay race-free too.
   const Rank procs = 64;
   const topo::Tree tree = topo::make_binomial_interleaved(procs);
   EngineOptions options;
   options.workers = 4;
-  options.inbox_capacity = 4;
+  options.mesh_capacity = 4;
   Engine engine(procs, std::vector<char>(static_cast<std::size_t>(procs), 0), options);
   for (int epoch = 0; epoch < 6; ++epoch) {
     proto::CorrectedTreeBroadcast protocol(tree, checked_overlapped());
@@ -111,54 +112,6 @@ TEST(RtStress, ShardedChaosSoakCrashDropDelay) {
     crashes += result.crashed_mid_epoch;
   }
   EXPECT_GT(crashes, 0);  // 2% of 512 ranks over 25 epochs
-}
-
-TEST(RtStress, ThreadPerRankChaosSoak) {
-  // Same chaos schedule shape on the legacy 1:1 executor: crash_self() in
-  // the worker loop, the per-thread delayed-envelope vector, and the
-  // progress-independent deadline check all run under the sanitizer here.
-  const Rank procs = 64;
-  const topo::Tree tree = topo::make_binomial_interleaved(procs);
-  EngineOptions options;
-  options.threading = Threading::kThreadPerRank;
-  options.epoch_deadline = std::chrono::seconds(5);
-  Engine engine(procs, std::vector<char>(static_cast<std::size_t>(procs), 0),
-                options);
-  ChaosOptions chaos;
-  chaos.seed = 0xC4A05u;
-  chaos.crash_fraction = 0.03;
-  chaos.drop_prob = 0.01;
-  chaos.delay_prob = 0.01;
-  chaos.delay_ns = 100'000;
-  engine.set_chaos(ChaosPlan(chaos));
-  std::int64_t crashes = 0;
-  for (int epoch = 0; epoch < 10; ++epoch) {
-    proto::CorrectedTreeBroadcast protocol(tree, checked_overlapped());
-    const EpochResult result = engine.run_epoch(protocol, std::chrono::seconds(30));
-    ASSERT_FALSE(result.timed_out) << "epoch " << epoch;
-    EXPECT_EQ(result.uncolored_live, 0) << "epoch " << epoch;
-    crashes += result.crashed_mid_epoch;
-  }
-  EXPECT_GT(crashes, 0);
-}
-
-TEST(RtStress, ThreadPerRankLegacyPathManyEpochs) {
-  // The legacy 1:1 executor under the sanitizer: exercises per-rank
-  // mailboxes and the generation-stamped kick()/pop_for() shutdown path
-  // (a kicked waiter must not re-block for a full timeout slice).
-  const Rank procs = 24;
-  const topo::Tree tree = topo::make_binomial_interleaved(procs);
-  support::Xoshiro256ss rng(0xFEED);
-  const std::vector<char> failed = random_faults(procs, 3, rng);
-  EngineOptions options;
-  options.threading = Threading::kThreadPerRank;
-  Engine engine(procs, failed, options);
-  for (int epoch = 0; epoch < 5; ++epoch) {
-    proto::CorrectedTreeBroadcast protocol(tree, checked_overlapped());
-    const EpochResult result = engine.run_epoch(protocol, std::chrono::seconds(60));
-    ASSERT_FALSE(result.timed_out) << "epoch " << epoch;
-    EXPECT_EQ(result.uncolored_live, 0) << "epoch " << epoch;
-  }
 }
 
 }  // namespace

@@ -46,12 +46,11 @@ TEST(RunSpecRoundTrip, EveryCollective) {
 }
 
 TEST(RunSpecRoundTrip, EveryExecutor) {
-  for (const Executor e :
-       {Executor::kSim, Executor::kRtSharded, Executor::kRtThreadPerRank}) {
+  for (const Executor e : {Executor::kSim, Executor::kRtSharded, Executor::kRtUdp}) {
     RunSpec spec = base_spec();
     spec.executor = e;
     expect_roundtrip(spec);
-    if (e != Executor::kSim) {
+    if (e == Executor::kRtSharded) {
       spec.workers = 8;
       expect_roundtrip(spec);
     }
@@ -59,16 +58,13 @@ TEST(RunSpecRoundTrip, EveryExecutor) {
 }
 
 TEST(RunSpecRoundTrip, RtShardedCrossShardKnobs) {
-  // The PR6 executor options: ':inbox' (legacy locked MPSC), ':pin'
-  // (shard→core pinning) and ':mesh-cap=N' (per-pair ring capacity).
+  // The rt-sharded executor options: ':pin' (shard→core pinning) and
+  // ':mesh-cap=N' (per-pair ring capacity).
   RunSpec spec = base_spec();
   spec.executor = Executor::kRtSharded;
   spec.workers = 8;
-  spec.rt_locked_inbox = true;
-  expect_roundtrip(spec);
   spec.rt_pin = true;
   expect_roundtrip(spec);
-  spec.rt_locked_inbox = false;
   spec.rt_mesh_capacity = 64;
   expect_roundtrip(spec);
   spec.rt_pin = false;
@@ -170,10 +166,10 @@ TEST(RunSpecRoundTrip, ReduceDistance) {
 
 TEST(RunSpecRoundTrip, RepairAndReviveAxes) {
   // PR9 self-healing axes: repair alone, repair + a revive schedule, and
-  // the fixed-outage variant, on both rt executors.
-  for (const Executor e : {Executor::kRtSharded, Executor::kRtThreadPerRank}) {
+  // the fixed-outage variant.
+  {
     RunSpec spec = base_spec();
-    spec.executor = e;
+    spec.executor = Executor::kRtSharded;
     spec.faults.repair = true;
     expect_roundtrip(spec);
     spec.faults.chaos_seed = 0xBEEF;
@@ -200,9 +196,6 @@ TEST(RunSpecParse, AcceptsConveniences) {
   const RunSpec b = parse_run_spec("broadcast:binomial:checked:sync@f=0.02,P=256");
   EXPECT_EQ(a.faults.fraction, b.faults.fraction);
   EXPECT_EQ(b.correction.start, proto::CorrectionStart::kSynchronized);
-  const RunSpec c =
-      parse_run_spec("bcast:binomial:checked:overlapped@P=8,exec=rt-thread-per-rank");
-  EXPECT_EQ(c.executor, Executor::kRtThreadPerRank);
 }
 
 TEST(RunSpecParse, AcceptanceExampleSpecString) {
@@ -260,27 +253,32 @@ TEST(RunSpecParse, RejectsMalformedSpecs) {
   expect_rejected("bcast:binomial:checked:overlapped@reps=3", "P=");
   // The unknown-executor diagnostic must enumerate the full valid set.
   expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=gpu",
-                  "sim|rt-sharded|rt-tpr|rt-udp");
+                  "(use sim|rt-sharded|rt-udp)");
+  // The thread-per-rank executor and the locked-inbox option are gone; the
+  // parser says so instead of calling them unknown.
+  expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-tpr",
+                  "'rt-tpr' was removed");
+  expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-thread-per-rank",
+                  "'rt-thread-per-rank' was removed");
+  expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-sharded:inbox",
+                  "':inbox' was removed");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-sharded:x=2",
                   "executor option");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=sim:w=2", "ThreadPool");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-sharded:mesh-cap=0",
                   "mesh-cap must be >= 1");
-  expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=sim:inbox",
+  expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=sim:pin",
                   "rt-sharded only");
-  expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-tpr:pin",
+  expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-udp:pin",
                   "rt-sharded only");
-  expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-tpr:mesh-cap=4",
+  expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-udp:mesh-cap=4",
                   "rt-sharded only");
-  expect_rejected(
-      "bcast:binomial:checked:overlapped@P=8,exec=rt-sharded:inbox:mesh-cap=4",
-      "contradicts");
   // rt-udp knobs: processes are counted via ':procs=', and the knobs apply
   // to that executor alone.
   expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-udp:w=4",
                   "':procs='");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-udp:inbox",
-                  "rt-sharded only");
+                  "':inbox' was removed");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-sharded:procs=4",
                   "rt-udp only");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=sim:port-base=9000",
@@ -307,6 +305,17 @@ TEST(RunSpecParse, RejectsInconsistentAxes) {
                   "reduce/allreduce");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,proto=gossip,gap=4",
                   "tree protocol");
+  // A synchronized start needs the simulator's model-time sync point; the
+  // runtimes reject it up front instead of aborting mid-run.
+  expect_rejected("bcast:binomial:checked:sync@P=64,reps=3,exec=rt-sharded:w=2",
+                  "use start=overlapped on exec=rt-sharded");
+  expect_rejected("bcast:binomial:checked:sync@P=64,reps=3,exec=rt-udp",
+                  "use start=overlapped on exec=rt-udp");
+  expect_rejected("bcast:binomial:none:sync@P=64,sync=500,exec=rt-sharded",
+                  "start=sync");
+  expect_rejected(
+      "bcast:binomial:checked:sync@P=64,proto=gossip,gossip-rounds=4,exec=rt-sharded",
+      "start=sync");
   // PR9 self-healing axes: repair is a wall-clock (rt) concept, and the
   // revive knobs form a dependency chain repair=1 -> revive-frac ->
   // revive-after-us with a crash source required to ever fire.
@@ -441,9 +450,13 @@ TEST(SpecSmoke, RtShardedExecutorAllProtocols) {
 }
 
 TEST(SpecSmoke, RtThreadPerRankExecutor) {
+  // The executor was removed; a spec naming it fails at parse time, before
+  // anything runs, and the same cell runs on rt-sharded.
+  expect_rejected("bcast:binomial:checked:overlapped@P=16,reps=2,warmup=1,exec=rt-tpr",
+                  "use sim|rt-sharded|rt-udp");
   const RunRecord record = run(parse_run_spec(
-      "bcast:binomial:checked:overlapped@P=16,reps=2,warmup=1,exec=rt-tpr"));
-  EXPECT_EQ(record.executor, "rt-tpr");
+      "bcast:binomial:checked:overlapped@P=16,reps=2,warmup=1,exec=rt-sharded:w=1"));
+  EXPECT_EQ(record.executor, "rt-sharded");
   EXPECT_EQ(record.runs, 2);
   EXPECT_EQ(record.incomplete, 0);
 }
