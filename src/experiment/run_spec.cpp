@@ -893,46 +893,98 @@ rt::ChaosPlan make_chaos_plan(const RunSpec& spec) {
   return plan;
 }
 
-/// One-shot protocol factory shared by the in-process and UDP rt paths.
-/// Everything is captured by reference — callers own the inputs for the
-/// life of the measurement call. gossip_epoch advances once per factory
-/// call; under rt-udp every process invokes the factory exactly once per
-/// epoch in lockstep, so the per-epoch gossip seeds agree across processes.
-rt::ProtocolFactory one_shot_factory(const RunSpec& spec, const topo::Tree& tree,
-                                     const proto::CorrectionConfig& correction,
-                                     const std::vector<std::int64_t>& values,
-                                     proto::GossipConfig& gossip,
-                                     std::uint64_t& gossip_epoch,
-                                     std::int32_t chunks) {
-  return [&spec, &tree, &correction, &values, &gossip, &gossip_epoch,
-          chunks]() -> std::unique_ptr<sim::Protocol> {
-    if (spec.collective == Collective::kAllreduce) {
-      proto::AllReduceConfig config;
-      config.reduce.distance = spec.reduce_distance;
-      config.correction = correction;
-      return std::make_unique<proto::CorrectedAllReduce>(tree, spec.params, values,
-                                                         config);
+/// The one-shot protocol inputs both rt paths build from a spec — the
+/// wall-clock correction and gossip configs, the allreduce inputs, the
+/// chunk count — and the factory over them. The factory captures the
+/// members by reference, so the object stays put for the life of the
+/// measurement call. gossip_epoch advances once per factory call; under
+/// rt-udp every process invokes the factory exactly once per epoch in
+/// lockstep, so the per-epoch gossip seeds agree across processes.
+struct RtProtocols {
+  RtProtocols(const RunSpec& spec, const topo::Tree& tree)
+      : correction(spec.correction),
+        values(static_cast<std::size_t>(spec.params.P)),
+        chunks(static_cast<std::int32_t>(spec.chunk_count())) {
+    default_delay(correction, spec.params, /*wall_clock=*/true);
+    for (topo::Rank r = 0; r < spec.params.P; ++r) {
+      values[static_cast<std::size_t>(r)] = r % 97;
     }
-    switch (spec.protocol) {
-      case ProtocolKind::kAckTree:
-        return std::make_unique<proto::AckTreeBroadcast>(tree, nullptr, chunks);
-      case ProtocolKind::kGossip: {
-        gossip.seed = support::derive_seed(spec.seed, ++gossip_epoch);
-        return std::make_unique<proto::CorrectedGossipBroadcast>(spec.params.P, gossip);
+    if (spec.protocol == ProtocolKind::kGossip) {
+      gossip = spec.to_scenario().gossip;
+      default_delay(gossip.correction, spec.params, /*wall_clock=*/true);
+    }
+    factory = [this, &spec, &tree]() -> std::unique_ptr<sim::Protocol> {
+      if (spec.collective == Collective::kAllreduce) {
+        proto::AllReduceConfig config;
+        config.reduce.distance = spec.reduce_distance;
+        config.correction = correction;
+        return std::make_unique<proto::CorrectedAllReduce>(tree, spec.params, values,
+                                                           config);
       }
-      case ProtocolKind::kCorrectedTree:
-        break;
-    }
-    return std::make_unique<proto::CorrectedTreeBroadcast>(tree, correction, 0, nullptr,
-                                                           nullptr, chunks);
-  };
+      switch (spec.protocol) {
+        case ProtocolKind::kAckTree:
+          return std::make_unique<proto::AckTreeBroadcast>(tree, nullptr, chunks);
+        case ProtocolKind::kGossip: {
+          gossip.seed = support::derive_seed(spec.seed, ++gossip_epoch);
+          return std::make_unique<proto::CorrectedGossipBroadcast>(spec.params.P, gossip);
+        }
+        case ProtocolKind::kCorrectedTree:
+          break;
+      }
+      return std::make_unique<proto::CorrectedTreeBroadcast>(tree, correction, 0, nullptr,
+                                                             nullptr, chunks);
+    };
+  }
+  RtProtocols(const RtProtocols&) = delete;
+  RtProtocols& operator=(const RtProtocols&) = delete;
+
+  proto::CorrectionConfig correction;
+  std::vector<std::int64_t> values;
+  proto::GossipConfig gossip;
+  std::uint64_t gossip_epoch = 0;
+  std::int32_t chunks;
+  rt::ProtocolFactory factory;
+};
+
+/// The RunRecord of a one-shot rt measurement, from either executor's
+/// HarnessResult: `workers` is engine threads in-process and worker
+/// processes on rt-udp. Tallies an executor does not produce are zero.
+RunRecord harness_record(const RunSpec& spec, const rt::HarnessResult& result,
+                         std::int64_t workers) {
+  RunRecord record = make_record(spec);
+  record.latency_unit = "us";
+  record.workers = workers;
+  record.runs = result.iterations;
+  record.wall_seconds = result.wall_seconds;
+  fill_latency(record, result.latency_us);
+  record.messages_per_process =
+      result.messages_per_process.empty() ? 0.0 : result.messages_per_process.mean();
+  record.messages_per_sec = result.messages_per_sec();
+  record.incomplete = result.incomplete;
+  record.timeouts = result.timeouts;
+  record.epochs_degraded = result.epochs_degraded;
+  record.ranks_crashed = result.ranks_crashed;
+  record.messages_dropped = result.messages_dropped;
+  record.messages_delayed = result.messages_delayed;
+  record.messages_duplicated = result.messages_duplicated;
+  record.crashed_ranks = result.first.crashed_ranks;
+  record.uncolored_survivors = result.first.uncolored_survivors;
+  record.repairs = result.repairs;
+  record.rejoins = result.rejoins;
+  record.replayed_epochs = result.replayed_epochs;
+  record.state_transfers = result.state_transfers;
+  record.epochs_to_converge = result.epochs_to_converge;
+  record.retransmits = result.retransmits;
+  record.dup_drops = result.dup_drops;
+  return record;
 }
 
 /// exec=rt-udp: forked worker processes exchanging loopback datagrams under
 /// perfect links (DESIGN.md §4j). Same one-shot factory and record layout
-/// as run_rt, plus the transport's retransmit / dedup tallies. Must run
-/// before this process spawns threads (fork discipline — see udp_engine.hpp),
-/// which holds: the sim ThreadPool is never built for rt executors.
+/// as run_rt; the record carries the transport's retransmit / dedup
+/// tallies. Must run before this process spawns threads (fork discipline —
+/// see udp_engine.hpp), which holds: the sim ThreadPool is never built for
+/// rt executors.
 RunRecord run_rt_udp(const RunSpec& spec) {
   const topo::Tree tree = topo::make_tree(spec.tree, spec.params.P);
 
@@ -948,52 +1000,13 @@ RunRecord run_rt_udp(const RunSpec& spec) {
   }
   if (spec.faults.chaos_enabled()) options.chaos = make_chaos_plan(spec);
 
-  proto::CorrectionConfig correction = spec.correction;
-  default_delay(correction, spec.params, /*wall_clock=*/true);
-  std::vector<std::int64_t> values(static_cast<std::size_t>(spec.params.P));
-  for (topo::Rank r = 0; r < spec.params.P; ++r) {
-    values[static_cast<std::size_t>(r)] = r % 97;
-  }
-  proto::GossipConfig gossip;
-  if (spec.protocol == ProtocolKind::kGossip) {
-    gossip = spec.to_scenario().gossip;
-    default_delay(gossip.correction, spec.params, /*wall_clock=*/true);
-  }
-  std::uint64_t gossip_epoch = 0;
-  const auto chunks = static_cast<std::int32_t>(spec.chunk_count());
-  const rt::ProtocolFactory factory =
-      one_shot_factory(spec, tree, correction, values, gossip, gossip_epoch, chunks);
-
-  const rt::UdpRunResult udp = rt::measure_broadcast_udp(options, factory);
+  RtProtocols protocols(spec, tree);
+  const rt::UdpRunResult udp = rt::measure_broadcast_udp(options, protocols.factory);
   if (!udp.error.empty()) {
     throw std::runtime_error("exec=rt-udp: " + udp.error);
   }
-  const rt::HarnessResult& result = udp.harness;
-
-  RunRecord record = make_record(spec);
-  record.latency_unit = "us";
-  record.workers = udp.procs_used;  // worker *processes*, not threads
-  record.runs = result.iterations;
-  record.wall_seconds = result.wall_seconds;
-  record.latency_p50 = result.p50_us();
-  record.latency_p99 = result.p99_us();
-  record.latency_p999 = result.p999_us();
-  record.latency_mean = result.latency_us.empty() ? 0.0 : result.latency_us.mean();
-  record.messages_per_process =
-      result.messages_per_process.empty() ? 0.0 : result.messages_per_process.mean();
-  record.messages_per_sec = result.messages_per_sec();
-  record.incomplete = result.incomplete;
-  record.timeouts = result.timeouts;
-  record.epochs_degraded = result.epochs_degraded;
-  record.ranks_crashed = result.ranks_crashed;
-  record.messages_dropped = result.messages_dropped;
-  record.messages_delayed = result.messages_delayed;
-  record.messages_duplicated = result.messages_duplicated;
-  record.crashed_ranks = result.first.crashed_ranks;
-  record.uncolored_survivors = result.first.uncolored_survivors;
-  record.retransmits = result.retransmits;
-  record.dup_drops = result.dup_drops;
-  return record;
+  // Worker *processes*, not threads.
+  return harness_record(spec, udp.harness, udp.procs_used);
 }
 
 RunRecord run_rt(const RunSpec& spec) {
@@ -1013,23 +1026,7 @@ RunRecord run_rt(const RunSpec& spec) {
 
   if (spec.faults.chaos_enabled()) engine.set_chaos(make_chaos_plan(spec));
 
-  proto::CorrectionConfig correction = spec.correction;
-  default_delay(correction, spec.params, /*wall_clock=*/true);
-
-  std::vector<std::int64_t> values(static_cast<std::size_t>(spec.params.P));
-  for (topo::Rank r = 0; r < spec.params.P; ++r) {
-    values[static_cast<std::size_t>(r)] = r % 97;
-  }
-  proto::GossipConfig gossip;
-  if (spec.protocol == ProtocolKind::kGossip) {
-    gossip = spec.to_scenario().gossip;
-    default_delay(gossip.correction, spec.params, /*wall_clock=*/true);
-  }
-  std::uint64_t gossip_epoch = 0;
-  const auto chunks = static_cast<std::int32_t>(spec.chunk_count());
-
-  const rt::ProtocolFactory factory =
-      one_shot_factory(spec, tree, correction, values, gossip, gossip_epoch, chunks);
+  RtProtocols protocols(spec, tree);
 
   if (spec.streaming()) {
     rt::StreamOptions stream;
@@ -1040,7 +1037,8 @@ RunRecord run_rt(const RunSpec& spec) {
     if (spec.deadline_ms > 0) {
       stream.epoch_timeout = std::chrono::milliseconds(spec.deadline_ms);
     }
-    const rt::StreamHarnessResult result = rt::measure_stream(engine, factory, stream);
+    const rt::StreamHarnessResult result =
+        rt::measure_stream(engine, protocols.factory, stream);
 
     RunRecord record = make_record(spec);
     record.latency_unit = "us";
@@ -1121,57 +1119,30 @@ RunRecord run_rt(const RunSpec& spec) {
         live_params.P = view.num_live();
         proto::AllReduceConfig config;
         config.reduce.distance = spec.reduce_distance;
-        config.correction = correction;
+        config.correction = protocols.correction;
         return std::make_unique<proto::CorrectedAllReduce>(*t, live_params, dense,
                                                            config);
       }
       switch (spec.protocol) {
         case ProtocolKind::kAckTree:
-          return std::make_unique<proto::AckTreeBroadcast>(*t, nullptr, chunks);
+          return std::make_unique<proto::AckTreeBroadcast>(*t, nullptr, protocols.chunks);
         case ProtocolKind::kGossip: {
-          gossip.seed = support::derive_seed(spec.seed, ++gossip_epoch);
+          protocols.gossip.seed =
+              support::derive_seed(spec.seed, ++protocols.gossip_epoch);
           return std::make_unique<proto::CorrectedGossipBroadcast>(view.num_live(),
-                                                                   gossip);
+                                                                   protocols.gossip);
         }
         case ProtocolKind::kCorrectedTree:
           break;
       }
-      return std::make_unique<proto::CorrectedTreeBroadcast>(*t, correction, 0,
-                                                             nullptr, nullptr, chunks);
+      return std::make_unique<proto::CorrectedTreeBroadcast>(
+          *t, protocols.correction, 0, nullptr, nullptr, protocols.chunks);
     };
     result = rt::measure_recovery(engine, membership_factory, harness);
   } else {
-    result = rt::measure_broadcast(engine, factory, harness);
+    result = rt::measure_broadcast(engine, protocols.factory, harness);
   }
-
-  RunRecord record = make_record(spec);
-  record.latency_unit = "us";
-  record.workers = static_cast<std::int64_t>(engine.worker_threads());
-  record.runs = result.iterations;
-  record.wall_seconds = result.wall_seconds;
-  record.latency_p50 = result.p50_us();
-  record.latency_p99 = result.p99_us();
-  record.latency_p999 = result.p999_us();
-  record.latency_mean =
-      result.latency_us.empty() ? 0.0 : result.latency_us.mean();
-  record.messages_per_process =
-      result.messages_per_process.empty() ? 0.0 : result.messages_per_process.mean();
-  record.messages_per_sec = result.messages_per_sec();
-  record.incomplete = result.incomplete;
-  record.timeouts = result.timeouts;
-  record.epochs_degraded = result.epochs_degraded;
-  record.ranks_crashed = result.ranks_crashed;
-  record.messages_dropped = result.messages_dropped;
-  record.messages_delayed = result.messages_delayed;
-  record.messages_duplicated = result.messages_duplicated;
-  record.crashed_ranks = result.first.crashed_ranks;
-  record.uncolored_survivors = result.first.uncolored_survivors;
-  record.repairs = result.repairs;
-  record.rejoins = result.rejoins;
-  record.replayed_epochs = result.replayed_epochs;
-  record.state_transfers = result.state_transfers;
-  record.epochs_to_converge = result.epochs_to_converge;
-  return record;
+  return harness_record(spec, result, static_cast<std::int64_t>(engine.worker_threads()));
 }
 
 }  // namespace

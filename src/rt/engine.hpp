@@ -24,6 +24,10 @@
 // keeps servicing deliveries — remote protocols may still need its replies —
 // until every live rank has completed. Per-epoch message envelopes carry the
 // epoch number so leftovers of epoch e are discarded in epoch e+1.
+//
+// exec=rt-udp runs this same engine in every forked process, with one local
+// shard and UdpTransport in place of the ring mesh (udp_engine.hpp); only
+// measure_broadcast_udp builds such a process slice.
 
 #include <chrono>
 #include <cstddef>
@@ -38,6 +42,10 @@
 #include "topology/gaps.hpp"
 
 namespace ct::rt {
+
+class UdpTransport;
+struct UdpEngineOptions;
+struct UdpRunResult;
 
 using Clock = std::chrono::steady_clock;
 
@@ -59,6 +67,9 @@ struct EpochResult {
   bool timed_out = false;
   /// Wall time from epoch start until the last live rank completed locally.
   std::int64_t completion_ns = 0;
+  /// Wall time from Protocol::begin until the epoch retired: the last
+  /// completion credit, the deadline, or (rt-udp) process 0's END.
+  std::int64_t retire_ns = 0;
   /// Per-rank local completion times for ranks live at epoch start (ns
   /// since epoch start); -1 for ranks that never completed (timed out or
   /// crashed mid-epoch).
@@ -91,6 +102,14 @@ struct EpochResult {
   /// — i.e. the result is a degradation report, not a clean measurement.
   bool degraded() const noexcept { return timed_out || uncolored_live > 0; }
 };
+
+/// Derives the survivor view of a finished epoch from `epoch.rank_state`:
+/// crashed_ranks / crashed_mid_epoch, uncolored_survivors / uncolored_live,
+/// and, for degraded epochs with a colored rank, the coloring gaps on the
+/// correction ring (crashed and failed ranks are holes, as in the paper's
+/// gap analysis). Engine::run_epoch and the rt-udp merge both finish
+/// through it.
+void finish_from_rank_state(EpochResult& epoch);
 
 // --- Streaming broadcast (PR8) ---------------------------------------------
 // A stream is a sequence of epochs admitted through a sliding window of W
@@ -245,6 +264,20 @@ class Engine {
   }
 
  private:
+  /// rt-udp's share of a rank space split across processes (see
+  /// udp_engine.hpp): this process steps only shard `self` of the
+  /// `chunk`-rank slice layout and moves all other mail over `transport`.
+  struct ProcessSlice {
+    std::size_t self = 0;
+    std::size_t chunk = 1;
+    UdpTransport* transport = nullptr;
+  };
+  /// `slice == nullptr` is the in-process engine of the public constructor.
+  Engine(topo::Rank num_procs, std::vector<char> failed, EngineOptions options,
+         const ProcessSlice* slice);
+  friend UdpRunResult measure_broadcast_udp(const UdpEngineOptions& options,
+                                            const ProtocolFactory& factory);
+
   topo::Rank num_procs_;
   std::vector<char> failed_;
   EngineOptions options_;

@@ -22,6 +22,15 @@
 // entry can still owe events, so three side watch lists cover them:
 // pending timers, scheduled chaos crashes, and chaos-delayed envelopes.
 //
+// The same loop runs one process's share of rt-udp (DESIGN.md §4j): the
+// process owns one shard of the rt-sharded:w=<procs> slice layout, steps
+// it on one worker thread, and moves every other shard's mail over a
+// UdpTransport. The only rule that differs is when an epoch retires (see
+// retire()): across processes the local countdown reports DONE to process
+// 0, whose END seals the epoch everywhere. Mail for an epoch this process
+// has not launched yet is held back and replayed at launch. That work runs
+// once per pass or once per epoch, so the in-process path never pays it.
+//
 // Concurrency contract: during an epoch, protocol callbacks for rank `me`
 // may only call Context::send/set_timer/mark_colored/set_rank_data for `me`
 // itself — cross-rank Context writes are legal only from Protocol::begin(),
@@ -41,6 +50,7 @@
 #include "rt/engine.hpp"
 #include "rt/shard_queue.hpp"
 #include "rt/transport_mem.hpp"
+#include "rt/udp_transport.hpp"
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -86,22 +96,66 @@ void pin_to_core(std::size_t core) {
 constexpr std::size_t kMaxChainedSends = 4;
 constexpr std::size_t kMaxStepReceives = 4096;
 
+// rt-udp epoch control rides the same perfect links as protocol mail,
+// marked by negative Message::tag values (sim::tag's well-known tags are all
+// positive). src/dst hold process indices, payload the epoch, data the
+// timed-out flag; the envelope tag carries the epoch like any mail.
+constexpr std::int32_t kCtrlDone = -101;
+constexpr std::int32_t kCtrlEnd = -102;
+/// Message-flight allowance past the epoch deadline before process 0 ends
+/// an epoch with DONEs still missing.
+constexpr std::int64_t kCoordinatorGraceNs = 250'000'000;
+/// A process with no END after twice the timeout plus this presumes process
+/// 0 dead and retires the epoch as timed out, so every run terminates.
+constexpr std::int64_t kWatchdogGraceNs = 500'000'000;
+
+/// True when the 24-bit tag epoch `tagged` lies after `current`: mail for
+/// an epoch this process has not launched yet.
+bool ahead(std::int32_t tagged, std::int64_t current) {
+  const std::uint32_t diff =
+      (static_cast<std::uint32_t>(tagged) - static_cast<std::uint32_t>(current)) &
+      Envelope::kEpochMask;
+  return diff != 0 && diff <= (Envelope::kEpochMask >> 1);
+}
+
 }  // namespace
+
+void finish_from_rank_state(EpochResult& epoch) {
+  for (std::size_t r = 0; r < epoch.rank_state.size(); ++r) {
+    if (epoch.rank_state[r] == RankEnd::kCrashed) {
+      ++epoch.crashed_mid_epoch;
+      epoch.crashed_ranks.push_back(static_cast<Rank>(r));
+    } else if (epoch.rank_state[r] == RankEnd::kUncolored) {
+      ++epoch.uncolored_live;
+      epoch.uncolored_survivors.push_back(static_cast<Rank>(r));
+    }
+  }
+  if (!epoch.degraded()) return;
+  std::vector<char> survivor_colored(epoch.rank_state.size(), 0);
+  bool any_colored = false;
+  for (std::size_t r = 0; r < survivor_colored.size(); ++r) {
+    if (epoch.rank_state[r] == RankEnd::kColored) {
+      survivor_colored[r] = 1;
+      any_colored = true;
+    }
+  }
+  if (any_colored) epoch.coloring_gaps = topo::analyze_gaps(survivor_colored);
+}
 
 class Engine::Impl {
  public:
   Impl(Rank num_procs, const std::vector<char>& failed, std::vector<char>& dead,
-       Rank live_count, const EngineOptions& options)
+       Rank live_count, const EngineOptions& options, const ProcessSlice* slice)
       : num_procs_(num_procs),
         failed_(failed),
         dead_(dead),
         live_count_(live_count),
         repair_(options.repair),
         pin_threads_(options.pin_threads),
-        session_barrier_(build_shards(options) + 1) {
+        session_barrier_(build_shards(options, slice) + 1) {
     resize_rank_state(1);
-    threads_.reserve(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
+    threads_.reserve(local_shards_);
+    for (std::size_t s = first_local_; s < first_local_ + local_shards_; ++s) {
       threads_.emplace_back([this, s] { worker_main(s); });
     }
   }
@@ -130,22 +184,11 @@ class Engine::Impl {
         });
     result.timed_out = rec.timed_out;
     result.total_messages = rec.messages;
-    result.crashed_mid_epoch = rec.crashed;
-    result.uncolored_live = rec.uncolored;
+    result.retire_ns = rec.service_ns();
     result.rank_state = std::move(rec.rank_state);
-    if (result.degraded()) {
-      // Survivor coloring on the correction ring: crashed and failed ranks
-      // are holes, exactly as the paper's gap analysis treats dead ranks.
-      std::vector<char> survivor_colored(static_cast<std::size_t>(num_procs_), 0);
-      bool any_colored = false;
-      for (std::size_t r = 0; r < survivor_colored.size(); ++r) {
-        if (result.rank_state[r] == RankEnd::kColored) {
-          survivor_colored[r] = 1;
-          any_colored = true;
-        }
-      }
-      if (any_colored) result.coloring_gaps = topo::analyze_gaps(survivor_colored);
-    }
+    // One process of rt-udp sees only its own slice; the parent merge
+    // finishes the reassembled full-P result instead.
+    if (remote_ == nullptr) finish_from_rank_state(result);
     return result;
   }
 
@@ -310,10 +353,13 @@ class Engine::Impl {
     std::atomic<std::uint32_t> seal_acks{0};
     /// Live ranks still to complete; armed by the coordinator pre-kActive.
     std::atomic<std::int32_t> remaining{0};
-    /// First writer wins (CAS from -1): the last completer or the
-    /// coordinator's deadline scan.
+    /// Written by whoever wins the kActive -> kSealing CAS (see seal()).
     std::atomic<std::int64_t> retire_ns{-1};
     std::atomic<bool> timed_out{false};
+    /// rt-udp: this process's DONE verdict — 0 pending, 1 every local rank
+    /// completed, 2 the local deadline passed. The worker reports it to
+    /// process 0 once per epoch.
+    std::atomic<std::uint8_t> done{0};
     // Coordinator-owned plain fields, published by the release transitions.
     // All times are engine time (Impl::now).
     std::int64_t epoch = -1;
@@ -376,20 +422,39 @@ class Engine::Impl {
     std::size_t w_;  ///< the window slot this context translates into
   };
 
-  /// Carves [0, P) into contiguous slices of ceil(P / workers) ranks, builds
-  /// the S² ring mesh and returns the shard count (for the barrier's
-  /// participant total).
-  std::ptrdiff_t build_shards(const EngineOptions& options) {
+  /// rt-udp state of this process (remote_ is null in-process), owned by
+  /// its one worker thread. The process index is first_local_, the process
+  /// count shards_.size().
+  struct Remote {
+    UdpTransport* udp = nullptr;
+    /// Mail (protocol and control) for epochs not launched here yet.
+    std::vector<Envelope> holdback;
+    std::int64_t done_epoch = -1;  ///< last epoch this process sent DONE for
+    // Process 0: DONEs of the launched epoch, its own included.
+    std::size_t dones = 0;
+    bool dones_timed_out = false;
+  };
+
+  /// Carves [0, P) into contiguous slices of ceil(P / workers) ranks (rt-
+  /// udp: the slice's `chunk`), builds the S² ring mesh or adopts the
+  /// slice's transport, and returns the local shard count (for the
+  /// barrier's participant total).
+  std::ptrdiff_t build_shards(const EngineOptions& options, const ProcessSlice* slice) {
     const auto p = static_cast<std::size_t>(num_procs_);
-    const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-    std::size_t workers =
-        options.workers > 0 ? static_cast<std::size_t>(options.workers) : hw;
-    // Oversubscription cap (see EngineOptions::workers): shards beyond this
-    // only inflate the S² mesh and timeshare the same cores. Generous floor
-    // of 16 so multi-worker tests behave identically on small CI hosts.
-    workers = std::min(workers, std::max<std::size_t>(16, 8 * hw));
-    workers = std::min(workers, p);
-    chunk_ = (p + workers - 1) / workers;
+    if (slice != nullptr) {
+      chunk_ = slice->chunk;
+    } else {
+      const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+      std::size_t workers =
+          options.workers > 0 ? static_cast<std::size_t>(options.workers) : hw;
+      // Oversubscription cap (see EngineOptions::workers): shards beyond
+      // this only inflate the S² mesh and timeshare the same cores. Generous
+      // floor of 16 so multi-worker tests behave identically on small CI
+      // hosts.
+      workers = std::min(workers, std::max<std::size_t>(16, 8 * hw));
+      workers = std::min(workers, p);
+      chunk_ = (p + workers - 1) / workers;
+    }
     // Round-up reciprocal for the delivery path's shard lookup: exact for
     // every rank and chunk below 2^32 (rank·e < 2^64 in the usual round-up
     // bound). chunk_ == 1 wraps the reciprocal to 0; shard_of branches.
@@ -403,8 +468,25 @@ class Engine::Impl {
         if (!failed_[static_cast<std::size_t>(r)]) shard.live_ranks.push_back(r);
       }
     }
-    transport_ = std::make_unique<MeshTransport>(num_shards, options.mesh_capacity);
-    return static_cast<std::ptrdiff_t>(num_shards);
+    if (slice != nullptr) {
+      remote_ = std::make_unique<Remote>();
+      remote_->udp = slice->transport;
+      transport_ = slice->transport;
+      first_local_ = slice->self;
+      local_shards_ = 1;
+    } else {
+      mesh_ = std::make_unique<MeshTransport>(num_shards, options.mesh_capacity);
+      transport_ = mesh_.get();
+      local_shards_ = num_shards;
+    }
+    const Shard& first = shards_[first_local_];
+    const Shard& last = shards_[first_local_ + local_shards_ - 1];
+    local_lo_ = first.lo;
+    local_hi_ = last.hi;
+    for (std::size_t s = first_local_; s < first_local_ + local_shards_; ++s) {
+      local_live_ += static_cast<Rank>(shards_[s].live_ranks.size());
+    }
+    return static_cast<std::ptrdiff_t>(local_shards_);
   }
 
   /// Engine time: ns since construction. Every slot-internal timestamp
@@ -476,7 +558,9 @@ class Engine::Impl {
       slot.context = std::make_unique<SlotContext>(*this, w);
     }
     crash_active_ = chaos_ != nullptr && chaos_->crashes_enabled();
-    link_active_ = chaos_ != nullptr && chaos_->links_enabled();
+    // rt-udp applies link verdicts per datagram inside UdpTransport, below
+    // perfect links; envelope-level link chaos is the in-process model.
+    link_active_ = chaos_ != nullptr && chaos_->links_enabled() && remote_ == nullptr;
     for (Shard& shard : shards_) {
       for (auto& staged : shard.staged) staged.clear();
       shard.delayed.clear();
@@ -505,7 +589,9 @@ class Engine::Impl {
   }
 
   void kick_all_shards() {
-    for (std::size_t s = 0; s < shards_.size(); ++s) transport_->kick(s);
+    for (std::size_t s = first_local_; s < first_local_ + local_shards_; ++s) {
+      transport_->kick(s);
+    }
   }
 
   /// Wakes workers parked on mail (transport) and on slot work (idle bell).
@@ -546,7 +632,8 @@ class Engine::Impl {
         shard.live_ranks.size() * static_cast<std::size_t>(window_), 1024);
     while (!session_done_.load(std::memory_order_acquire)) {
       bool progress = service_slots(shard);
-      progress |= drain_cross_shard(s, shard);
+      progress |=
+          remote_ != nullptr ? drain_remote(s, shard) : drain_cross_shard(s, shard);
 
       const sim::Time pass_now = now();
       if (link_active_ && !shard.delayed.empty()) {
@@ -588,10 +675,15 @@ class Engine::Impl {
       // A budget-cut pass must not park on top of runnable work.
       progress |= !shard.run_queue.empty();
 
+      if (remote_ != nullptr) progress |= service_remote(shard, pass_now);
       progress |= flush_staged(s, shard);
 
       if (progress) continue;
-      if (any_slot_active()) {
+      if (remote_ != nullptr) {
+        // Always on the socket: acks and retransmits are due between
+        // epochs too, and the transport's kick wakes poll(2).
+        transport_->park(s, any_slot_active() ? kIdleWait : kIdlePark);
+      } else if (any_slot_active()) {
         transport_->park(s, kIdleWait);
       } else {
         idle_bell_.wait(kIdlePark, [&] {
@@ -652,7 +744,7 @@ class Engine::Impl {
         // Ack point: this shard runs no further callbacks for this slot's
         // epoch (every callback site re-checks the state first).
         shard.slot_sealed[w] = shard.slot_staged[w];
-        if (slot.seal_acks.fetch_add(1, std::memory_order_acq_rel) + 1 == shards_.size()) {
+        if (slot.seal_acks.fetch_add(1, std::memory_order_acq_rel) + 1 == local_shards_) {
           slot.state.store(kSlotDone, std::memory_order_release);
           coordinator_bell_.notify();
         }
@@ -681,7 +773,7 @@ class Engine::Impl {
     }
     purge_slot_watch(shard.timer_watch, w);
     purge_slot_watch(shard.crash_watch, w);
-    if (slot.stage_acks.fetch_add(1, std::memory_order_acq_rel) + 1 == shards_.size()) {
+    if (slot.stage_acks.fetch_add(1, std::memory_order_acq_rel) + 1 == local_shards_) {
       slot.state.store(kSlotStaged, std::memory_order_release);
       coordinator_bell_.notify();
     }
@@ -713,6 +805,7 @@ class Engine::Impl {
         shard.crash_watch.push_back(static_cast<Rank>(v));
       }
     }
+    if (remote_ != nullptr) start_remote_epoch(shard);
   }
 
   /// Adds virtual rank `v` (owned by `shard`) to the active set if absent.
@@ -881,12 +974,116 @@ class Engine::Impl {
   /// copy plus a predicted indirect call); the poll itself is one virtual
   /// call per pass.
   bool drain_cross_shard(std::size_t s, Shard& shard) {
-    auto land = [&](const Envelope& envelope) {
-      const std::size_t v = vindex(slot_of_epoch(envelope.epoch()), envelope.msg.dst);
-      fifo_[v].push(envelope);
-      activate(shard, static_cast<Rank>(v));
-    };
-    return transport_->poll_into(s, EnvelopeSink(land)) > 0;
+    auto sink = [&](const Envelope& envelope) { land(shard, envelope); };
+    return transport_->poll_into(s, EnvelopeSink(sink)) > 0;
+  }
+
+  void land(Shard& shard, const Envelope& envelope) {
+    const std::size_t v = vindex(slot_of_epoch(envelope.epoch()), envelope.msg.dst);
+    fifo_[v].push(envelope);
+    activate(shard, static_cast<Rank>(v));
+  }
+
+  // --- rt-udp: one process's share (W = 1 lockstep, slot 0) -------------------
+
+  /// The rt-udp drain: every envelope passes route_remote.
+  bool drain_remote(std::size_t s, Shard& shard) {
+    auto sink = [&](const Envelope& envelope) { route_remote(shard, envelope); };
+    return transport_->poll_into(s, EnvelopeSink(sink)) > 0;
+  }
+
+  /// Mail for an epoch not launched here yet waits in the holdback (UDP
+  /// gives no ordering between END and a faster peer's next-epoch mail);
+  /// control of the launched epoch is acted on, stale control dropped;
+  /// protocol mail lands as in-process, stale mail dying at the tag filter.
+  void route_remote(Shard& shard, const Envelope& envelope) {
+    const std::int64_t launched = shard.slot_seeded[0];
+    if (ahead(envelope.epoch(), launched)) {
+      remote_->holdback.push_back(envelope);
+    } else if (envelope.msg.tag >= 0) {
+      land(shard, envelope);
+    } else if (envelope.msg.payload == launched) {
+      on_control(envelope);
+    }
+  }
+
+  /// DONE (process 0 only) counts toward the END; END seals the slot.
+  void on_control(const Envelope& envelope) {
+    if (envelope.msg.tag == kCtrlDone) {
+      ++remote_->dones;
+      remote_->dones_timed_out = remote_->dones_timed_out || envelope.msg.data != 0;
+    } else {
+      seal(slots_[0], envelope.msg.data != 0, now());
+    }
+  }
+
+  void send_control(Shard& shard, std::size_t to, std::int32_t kind, std::int64_t epoch,
+                    bool timed_out) {
+    const Envelope envelope{
+        sim::Message{.src = static_cast<Rank>(first_local_),
+                     .dst = static_cast<Rank>(to), .tag = kind, .payload = epoch,
+                     .data = timed_out ? 1 : 0},
+        Envelope::make_tag(epoch, generation_)};
+    if (to == first_local_) {
+      on_control(envelope);
+    } else {
+      shard.staged[to].push_back(envelope);
+    }
+  }
+
+  /// Once per epoch, at the first kActive sighting: a fresh DONE tally, the
+  /// epoch as the datagram chaos verdicts' domain, and the held-back mail
+  /// replayed (entries still ahead stay held).
+  void start_remote_epoch(Shard& shard) {
+    Remote& remote = *remote_;
+    remote.dones = 0;
+    remote.dones_timed_out = false;
+    remote.udp->set_epoch(shard.slot_seeded[0]);
+    std::vector<Envelope> held;
+    held.swap(remote.holdback);
+    for (const Envelope& envelope : held) route_remote(shard, envelope);
+  }
+
+  /// Once per pass: report this process's DONE verdict to process 0. Process
+  /// 0 ends the epoch everywhere once every DONE arrived or the deadline
+  /// grace ran out; elsewhere a watchdog retires an epoch whose END never
+  /// comes.
+  bool service_remote(Shard& shard, sim::Time pass_now) {
+    StreamSlot& slot = slots_[0];
+    const std::int64_t epoch = shard.slot_seeded[0];
+    // Seeded and still active: the slot's plain fields are stable until this
+    // worker acks the seal.
+    if (epoch != shard.slot_staged[0] ||
+        slot.state.load(std::memory_order_acquire) != kSlotActive) {
+      return false;
+    }
+    Remote& remote = *remote_;
+    bool progress = false;
+    const std::uint8_t done = slot.done.load(std::memory_order_acquire);
+    if (done != 0 && remote.done_epoch != epoch) {
+      remote.done_epoch = epoch;
+      send_control(shard, 0, kCtrlDone, epoch, done == 2);
+      progress = true;
+    }
+    const bool bounded = slot.deadline_ns > 0;
+    if (first_local_ != 0) {
+      if (bounded &&
+          pass_now > 2 * slot.deadline_ns - slot.launch_ns + kWatchdogGraceNs) {
+        progress |= seal(slot, true, pass_now);  // process 0 presumed dead
+      }
+      return progress;
+    }
+    const bool all = remote.dones == shards_.size();
+    if (all || (bounded && pass_now > slot.deadline_ns + kCoordinatorGraceNs)) {
+      // END retires the epoch and admits the next: no separate BEGIN.
+      const bool timed_out = !all || remote.dones_timed_out;
+      for (std::size_t k = 1; k < shards_.size(); ++k) {
+        send_control(shard, k, kCtrlEnd, epoch, timed_out);
+      }
+      seal(slot, timed_out, now());  // the END time is rt-udp's latency
+      progress = true;
+    }
+    return progress;
   }
 
   /// One batch publish per destination shard with staged traffic — a single
@@ -909,6 +1106,7 @@ class Engine::Impl {
       }
       any |= accepted > 0;
     }
+    transport_->flush(s);
     return any;
   }
 
@@ -1000,22 +1198,47 @@ class Engine::Impl {
   }
 
   /// Completion credit for one live virtual rank (completed or crashed).
-  /// The last credit retires the epoch: first-writer CAS on retire_ns, then
-  /// the kActive → kSealing CAS — which can lose only to the coordinator's
-  /// deadline scan, and then sealing is already under way.
+  /// The last credit retires the epoch.
   void credit_completion(StreamSlot& slot) {
     if (slot.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::int64_t none = -1;
-      slot.retire_ns.compare_exchange_strong(none, now(), std::memory_order_acq_rel,
-                                             std::memory_order_relaxed);
-      std::uint32_t expected = kSlotActive;
-      if (slot.state.compare_exchange_strong(expected, kSlotSealing,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_relaxed)) {
-        kick_all_shards();
-        coordinator_bell_.notify();
-      }
+      retire(slot, /*timed_out=*/false);
     }
+  }
+
+  /// When an epoch retires — the one decision the two executors make
+  /// differently. Fed by the last completion credit and by the
+  /// coordinator's deadline scan (timed_out). In-process it seals the slot
+  /// on the spot. On rt-udp it records this process's DONE verdict, which
+  /// the worker reports to process 0 on its next pass; the slot seals when
+  /// END comes back. Returns whether the call changed anything; a
+  /// coordinator-side caller then wakes the worker.
+  bool retire(StreamSlot& slot, bool timed_out) {
+    if (remote_ == nullptr) return seal(slot, timed_out, now());
+    std::uint8_t pending = 0;
+    return slot.done.compare_exchange_strong(pending, timed_out ? 2 : 1,
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_relaxed);
+  }
+
+  /// kActive -> kSealing. Only the CAS winner — last credit, deadline scan,
+  /// END or watchdog — stamps the retire time and verdict; the seal-ack
+  /// chain publishes both to the coordinator's collect. In-process the
+  /// other shards must ack, so they are woken; rt-udp seals only on its one
+  /// worker, which acks on its next pass.
+  bool seal(StreamSlot& slot, bool timed_out, sim::Time at) {
+    std::uint32_t expected = kSlotActive;
+    if (!slot.state.compare_exchange_strong(expected, kSlotSealing,
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_relaxed)) {
+      return false;
+    }
+    slot.retire_ns.store(at, std::memory_order_relaxed);
+    slot.timed_out.store(timed_out, std::memory_order_relaxed);
+    if (remote_ == nullptr) {
+      wake_workers();
+      coordinator_bell_.notify();
+    }
+    return true;
   }
 
   // --- Coordinator side -------------------------------------------------------
@@ -1024,9 +1247,9 @@ class Engine::Impl {
   /// admits `epochs` epochs at `rate` (0 = closed loop) through the open
   /// window, calls `start(w)` for each slot every shard has staged (it must
   /// end in launch()), force-retires epochs past their deadline, and hands
-  /// every retired slot to `retire(w, index, origin)` before freeing it.
-  template <class Start, class Retire>
-  void drive(std::int64_t epochs, double rate, Start&& start, Retire&& retire) {
+  /// every retired slot to `retired(w, index, origin)` before freeing it.
+  template <class Start, class Retired>
+  void drive(std::int64_t epochs, double rate, Start&& start, Retired&& retired) {
     const std::int64_t base_epoch = epoch_ + 1;
     const double interval_ns = rate > 0.0 ? 1e9 / rate : 0.0;
     const sim::Time origin = now();
@@ -1040,7 +1263,7 @@ class Engine::Impl {
       for (std::size_t w = 0; w < slots_.size(); ++w) {
         StreamSlot& slot = slots_[w];
         if (slot.state.load(std::memory_order_acquire) != kSlotDone) continue;
-        retire(w, static_cast<std::size_t>(slot.epoch - base_epoch), origin);
+        retired(w, static_cast<std::size_t>(slot.epoch - base_epoch), origin);
         slot.protocol = nullptr;
         slot.owned.reset();
         slot.state.store(kSlotFree, std::memory_order_release);
@@ -1054,16 +1277,7 @@ class Engine::Impl {
         for (StreamSlot& slot : slots_) {
           if (slot.state.load(std::memory_order_acquire) != kSlotActive) continue;
           if (scan_now <= slot.deadline_ns) continue;
-          std::uint32_t expected = kSlotActive;
-          if (slot.state.compare_exchange_strong(expected, kSlotSealing,
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_relaxed)) {
-            // Won against the last-completer CAS: this retire is a timeout.
-            slot.timed_out.store(true, std::memory_order_relaxed);
-            std::int64_t none = -1;
-            slot.retire_ns.compare_exchange_strong(none, scan_now,
-                                                   std::memory_order_acq_rel,
-                                                   std::memory_order_relaxed);
+          if (retire(slot, /*timed_out=*/true)) {
             wake_workers();
             progress = true;
           }
@@ -1104,6 +1318,7 @@ class Engine::Impl {
           slot.remaining.store(0, std::memory_order_relaxed);
           slot.retire_ns.store(-1, std::memory_order_relaxed);
           slot.timed_out.store(false, std::memory_order_relaxed);
+          slot.done.store(0, std::memory_order_relaxed);
           slot.state.store(kSlotStaging, std::memory_order_release);
           wake_workers();
           ++admitted;
@@ -1113,8 +1328,11 @@ class Engine::Impl {
 
       if (!progress) {
         // Bounded park: the deadline scan and open-loop arrivals need the
-        // coordinator back within kIdleWait even without a notify.
-        coordinator_bell_.wait(kIdleWait, [&] {
+        // coordinator back within kIdleWait even without a notify. rt-udp
+        // admits no open-loop arrivals and retires through DONE/END at the
+        // socket's millisecond granularity, so its processes park longer
+        // instead of waking 20k times a second each.
+        coordinator_bell_.wait(remote_ != nullptr ? kIdlePark : kIdleWait, [&] {
           for (const StreamSlot& slot : slots_) {
             const std::uint32_t state = slot.state.load(std::memory_order_acquire);
             if (state == kSlotDone || state == kSlotStaged) return true;
@@ -1152,12 +1370,13 @@ class Engine::Impl {
         core.completed = 1;
       }
     }
+    if (remote_ != nullptr) reset_foreign_ranks(w);
     slot.tag = Envelope::make_tag(slot.epoch, generation_);
     slot.protocol->begin(*slot.context);
     slot.launch_ns = now();
     slot.deadline_ns = timeout_ns_ > 0 ? slot.launch_ns + timeout_ns_ : 0;
     if (crash_active_) {
-      for (Rank r = 0; r < num_procs_; ++r) {
+      for (Rank r = local_lo_; r < local_hi_; ++r) {
         const std::size_t v = vindex(w, r);
         if (failed_[static_cast<std::size_t>(r)] || core_[v].dead_at_start) continue;
         const std::int64_t at = chaos_->crash_ns(slot.epoch, r);
@@ -1165,9 +1384,29 @@ class Engine::Impl {
         core_[v].crash_budget = chaos_->crash_send_budget(r);
       }
     }
-    slot.remaining.store(live_count_, std::memory_order_relaxed);
+    const Rank countdown = remote_ != nullptr ? local_live_ : live_count_;
+    slot.remaining.store(countdown, std::memory_order_relaxed);
     slot.state.store(kSlotActive, std::memory_order_release);
+    if (countdown == 0) retire(slot, /*timed_out=*/false);  // a slice of failed ranks
     wake_workers();
+  }
+
+  /// rt-udp: ranks other processes own are never stepped here. Reset them
+  /// before begin() as staging resets the local slice, so begin() sees the
+  /// same fresh state everywhere; the sends and timers it then gives them
+  /// are never run here (their owner emits that traffic) and go at the next
+  /// launch.
+  void reset_foreign_ranks(std::size_t w) {
+    auto reset = [&](Rank lo, Rank hi) {
+      for (Rank r = lo; r < hi; ++r) {
+        const std::size_t v = vindex(w, r);
+        outbox_[v].clear();
+        timers_[v].clear();
+        core_[v] = RankCore{};
+      }
+    };
+    reset(0, local_lo_);
+    reset(local_hi_, num_procs_);
   }
 
   /// Admission-boundary repair of a stream: revive ranks whose schedule
@@ -1211,8 +1450,10 @@ class Engine::Impl {
     rec.timed_out = slot.timed_out.load(std::memory_order_relaxed);
     rec.rejoined = slot.rejoined;
     const bool keep_state = keep_rank_state || full != nullptr;
+    // rt-udp: only the local slice is this process's to report; the rest
+    // stays kFailedAtStart here and is filled in by the parent merge.
     if (keep_state) rec.rank_state.resize(static_cast<std::size_t>(num_procs_));
-    for (Rank r = 0; r < num_procs_; ++r) {
+    for (Rank r = local_lo_; r < local_hi_; ++r) {
       const auto ri = static_cast<std::size_t>(r);
       const std::size_t v = vindex(w, r);
       const RankCore& core = core_[v];
@@ -1238,7 +1479,6 @@ class Engine::Impl {
       if (core.crashed) {
         ++rec.crashed;
         if (keep_state) rec.rank_state[ri] = RankEnd::kCrashed;
-        if (full != nullptr) full->crashed_ranks.push_back(r);
         if (mend && !dead_[ri]) {
           // Persist the death and draw its revive schedule, keyed by the
           // epoch the rank crashed in (the ChaosPlan determinism contract).
@@ -1255,7 +1495,6 @@ class Engine::Impl {
       if (!core.colored) {
         ++rec.uncolored;
         if (keep_state) rec.rank_state[ri] = RankEnd::kUncolored;
-        if (full != nullptr) full->uncolored_survivors.push_back(r);
       } else if (keep_state) {
         rec.rank_state[ri] = RankEnd::kColored;
       }
@@ -1279,8 +1518,19 @@ class Engine::Impl {
   std::size_t chunk_ = 1;        // ranks per shard; shard(r) = r / chunk_
   std::uint64_t chunk_mul_ = 0;  // ceil(2^64 / chunk_); 0 when chunk_ == 1
   std::deque<Shard> shards_;
-  /// Cross-shard movement, parking and wakeup (DESIGN.md §4j).
-  std::unique_ptr<Transport> transport_;
+  /// The shards this process steps, one worker thread each: all of them
+  /// in-process, shard `self` alone on rt-udp. Their ranks span
+  /// [local_lo_, local_hi_), local_live_ of them live at construction.
+  std::size_t first_local_ = 0;
+  std::size_t local_shards_ = 0;
+  Rank local_lo_ = 0;
+  Rank local_hi_ = 0;
+  Rank local_live_ = 0;
+  /// Cross-shard movement, parking and wakeup (DESIGN.md §4j): the owned
+  /// SPSC mesh in-process, the slice's UdpTransport on rt-udp.
+  std::unique_ptr<MeshTransport> mesh_;
+  Transport* transport_ = nullptr;
+  std::unique_ptr<Remote> remote_;
 
   // Rank state, W·P virtual ranks (grown on demand, never shrunk).
   std::vector<LocalFifo> fifo_;
@@ -1332,6 +1582,10 @@ class Engine::Impl {
 // ---------------------------------------------------------------------------
 
 Engine::Engine(Rank num_procs, std::vector<char> failed, EngineOptions options)
+    : Engine(num_procs, std::move(failed), options, nullptr) {}
+
+Engine::Engine(Rank num_procs, std::vector<char> failed, EngineOptions options,
+               const ProcessSlice* slice)
     : num_procs_(num_procs), failed_(std::move(failed)), options_(options) {
   if (num_procs < 1) throw std::invalid_argument("engine needs at least one rank");
   if (static_cast<Rank>(failed_.size()) != num_procs) {
@@ -1351,7 +1605,7 @@ Engine::Engine(Rank num_procs, std::vector<char> failed, EngineOptions options)
   // *all* dead ranks (construction failures included).
   dead_ = failed_;
   membership_ = MembershipView::identity(num_procs_);
-  impl_ = std::make_unique<Impl>(num_procs_, failed_, dead_, live_count_, options_);
+  impl_ = std::make_unique<Impl>(num_procs_, failed_, dead_, live_count_, options_, slice);
 }
 
 Engine::~Engine() = default;

@@ -2,6 +2,30 @@
 
 namespace ct::rt {
 
+void HarnessResult::add_epoch(const EpochResult& epoch, std::int64_t latency_ns,
+                              topo::Rank num_procs) {
+  if (iterations == 0) first = epoch;
+  ++iterations;
+  total_messages += epoch.total_messages;
+  ranks_crashed += epoch.crashed_mid_epoch;
+  messages_dropped += epoch.messages_dropped;
+  messages_delayed += epoch.messages_delayed;
+  messages_duplicated += epoch.messages_duplicated;
+  if (epoch.degraded()) {
+    if (epochs_degraded == 0) first_degraded = epoch;
+    last_degraded = epoch;
+    ++epochs_degraded;
+  }
+  if (epoch.timed_out) {
+    ++timeouts;
+    return;
+  }
+  if (epoch.uncolored_live > 0) ++incomplete;
+  latency_us.add(static_cast<double>(latency_ns) / 1000.0);
+  messages_per_process.add(static_cast<double>(epoch.total_messages) /
+                           static_cast<double>(num_procs));
+}
+
 HarnessResult measure_broadcast(Engine& engine, const ProtocolFactory& factory,
                                 const HarnessOptions& options) {
   for (std::int64_t i = 0; i < options.warmup; ++i) {
@@ -13,27 +37,8 @@ HarnessResult measure_broadcast(Engine& engine, const ProtocolFactory& factory,
   const auto start = Clock::now();
   for (std::int64_t i = 0; i < options.iterations; ++i) {
     auto protocol = factory();
-    EpochResult epoch = engine.run_epoch(*protocol, options.epoch_timeout);
-    if (result.iterations == 0) result.first = epoch;
-    ++result.iterations;
-    result.total_messages += epoch.total_messages;
-    result.ranks_crashed += epoch.crashed_mid_epoch;
-    result.messages_dropped += epoch.messages_dropped;
-    result.messages_delayed += epoch.messages_delayed;
-    result.messages_duplicated += epoch.messages_duplicated;
-    if (epoch.degraded()) {
-      if (result.epochs_degraded == 0) result.first_degraded = epoch;
-      result.last_degraded = epoch;
-      ++result.epochs_degraded;
-    }
-    if (epoch.timed_out) {
-      ++result.timeouts;
-      continue;
-    }
-    if (epoch.uncolored_live > 0) ++result.incomplete;
-    result.latency_us.add(static_cast<double>(epoch.completion_ns) / 1000.0);
-    result.messages_per_process.add(static_cast<double>(epoch.total_messages) /
-                                    static_cast<double>(engine.num_procs()));
+    const EpochResult epoch = engine.run_epoch(*protocol, options.epoch_timeout);
+    result.add_epoch(epoch, epoch.completion_ns, engine.num_procs());
   }
   result.wall_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
@@ -120,31 +125,9 @@ HarnessResult measure_recovery(Engine& engine,
       run = wrapped.get();
     }
 
-    EpochResult epoch = engine.run_epoch(*run, options.epoch_timeout);
+    const EpochResult epoch = engine.run_epoch(*run, options.epoch_timeout);
 
-    if (measured) {
-      if (result.iterations == 0) result.first = epoch;
-      ++result.iterations;
-      result.total_messages += epoch.total_messages;
-      result.ranks_crashed += epoch.crashed_mid_epoch;
-      result.messages_dropped += epoch.messages_dropped;
-      result.messages_delayed += epoch.messages_delayed;
-      result.messages_duplicated += epoch.messages_duplicated;
-      if (epoch.degraded()) {
-        if (result.epochs_degraded == 0) result.first_degraded = epoch;
-        result.last_degraded = epoch;
-        ++result.epochs_degraded;
-      }
-      if (epoch.timed_out) {
-        ++result.timeouts;
-      } else {
-        if (epoch.uncolored_live > 0) ++result.incomplete;
-        result.latency_us.add(static_cast<double>(epoch.completion_ns) / 1000.0);
-        result.messages_per_process.add(
-            static_cast<double>(epoch.total_messages) /
-            static_cast<double>(engine.num_procs()));
-      }
-    }
+    if (measured) result.add_epoch(epoch, epoch.completion_ns, engine.num_procs());
 
     // 4. Record this boundary's deaths and draw their revival schedule from
     //    the chaos plan, keyed by the epoch index the crash was detected in.

@@ -56,6 +56,13 @@ struct HarnessResult {
   /// was already clean when the fault stream went quiet.
   std::int64_t epochs_to_converge = 0;
 
+  /// Folds one measured epoch into the aggregates. `latency_ns` is the
+  /// executor's completion latency for it (in-process: completion_ns; rt-
+  /// udp: process 0's begin -> END span); timed-out epochs add no latency
+  /// or messages-per-process sample.
+  void add_epoch(const EpochResult& epoch, std::int64_t latency_ns,
+                 topo::Rank num_procs);
+
   /// Percentile over clean (non-timed-out) iteration latencies. Single
   /// empty-sample policy for every accessor below: when *every* iteration
   /// timed out (`latency_us` empty, `timeouts` == iterations) this returns

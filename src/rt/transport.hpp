@@ -1,15 +1,15 @@
 #pragma once
-// Pluggable cross-shard transport seam (DESIGN.md §4j). The sharded engine
-// stages outgoing envelopes per destination shard during a scheduling pass
-// and moves them — plus parking, wakeup and the has-mail poll — through this
-// interface instead of code welded into engine_sharded.cpp. Two transports
-// implement it:
+// Pluggable cross-shard transport seam (DESIGN.md §4j). The engine stages
+// outgoing envelopes per destination shard during a scheduling pass and
+// moves them, plus parking and wakeup, through this interface. Two
+// transports implement it, under the same shard loop:
 //
 //  * MeshTransport  (transport_mem.hpp) — the lock-free SPSC ring mesh with
-//    per-shard mail masks and Doorbell parking.
+//    per-shard mail masks and Doorbell parking; every shard is local.
 //  * UdpTransport   (udp_transport.hpp) — real POSIX UDP datagrams between
-//    OS processes with a perfect-links reliability layer; "shard" becomes
-//    "peer process".
+//    OS processes with a perfect-links reliability layer. Under rt-udp a
+//    process is an engine with one local shard, and "shard" names the peer
+//    process that owns it.
 //
 // The interface is batch-level on purpose: every virtual call moves (or
 // polls for) a whole batch, so dispatch cost is O(shards²) per scheduling
@@ -25,13 +25,15 @@
 //    so per-sender FIFO and the chained-send/deadline behavior of the
 //    engine are transport-independent.
 //  * poll_into drains everything currently pending for `to` and returns
-//    the count; has_mail is the cheap park predicate.
+//    the count.
 //  * park blocks the owner of `to` until mail, a kick, or the timeout;
-//    kick wakes it unconditionally (slot transitions, shutdown).
-//  * flush lets a transport with deferred work (datagram packing,
-//    retransmit timers) make progress; the in-memory transport publishes
-//    eagerly in send_batch and keep it a no-op.
-//  * clear resets between epochs with both sides quiescent.
+//    kick wakes it unconditionally and may come from another thread (the
+//    engine's coordinator on slot transitions and shutdown) — a real
+//    wakeup on both transports.
+//  * flush, called once per pass, lets a transport with deferred work
+//    (datagram packing, retransmit timers) make progress; the in-memory
+//    transport publishes eagerly in send_batch and keeps it a no-op.
+//  * clear resets between sessions with both sides quiescent.
 
 #include <chrono>
 #include <cstddef>
@@ -73,9 +75,6 @@ class Transport {
   /// Consumer side: deliver every envelope currently pending for shard
   /// `to` through `sink` (FIFO per producer) and return the count.
   virtual std::size_t poll_into(std::size_t to, const EnvelopeSink& sink) = 0;
-
-  /// Consumer-side park predicate: may shard `to` have pending mail?
-  virtual bool has_mail(std::size_t to) const = 0;
 
   /// Blocks the owner of shard `to` until mail arrives, a kick fires, or
   /// `timeout` elapses. Must tolerate spurious wakeups.

@@ -1,36 +1,45 @@
 #pragma once
 // exec=rt-udp (DESIGN.md §4j): the multi-process executor. The rank space
-// is carved into contiguous slices — one forked OS process per slice, each
-// owning a bound loopback UDP socket — and cross-process envelopes travel
-// as real datagrams under the perfect-links layer of udp_transport.hpp.
+// is carved into the contiguous slices of rt-sharded:w=<procs> — one forked
+// OS process per slice, each owning a bound loopback UDP socket — and
+// cross-process envelopes travel as real datagrams under the perfect-links
+// layer of udp_transport.hpp.
 //
-// Every process builds the *full-P* protocol each epoch through the
-// inherited factory (fork carries the whole configuration; nothing is
-// serialized) and runs the deterministic begin() everywhere, but only steps
-// its local ranks: Context::send suppresses envelopes whose source rank is
-// non-local, so exactly one process — the owner — emits each rank's
-// traffic. This is sound because the repo's protocols only read their own
-// rank's coloring/data through the Context (verified across src/protocol),
-// and per-rank protocol-internal state is disjoint.
+// A process is an engine with one local shard: each forked process drives
+// the same rt::Engine shard loop as the in-process executor, with plain
+// run_epoch calls, one worker thread stepping its slice, and UdpTransport
+// in place of the SPSC mesh. Every process builds the full-P protocol each
+// epoch through the inherited factory (fork carries the whole
+// configuration; nothing is serialized) and runs the deterministic begin()
+// everywhere, but steps only its own ranks: the begin()-time sends and
+// timers of ranks another process owns are never run, so exactly one
+// process — the owner — emits each rank's traffic. This is sound because
+// the repo's protocols only read their own rank's coloring/data through
+// the Context, and per-rank protocol-internal state is disjoint.
 //
-// Epochs run in lockstep through a two-message control protocol carried by
-// the same perfect links (negative protocol tags, so they never collide
-// with sim::tag's well-known positive space): each worker sends DONE to the
-// coordinator (worker 0) when all its local live ranks completed or
-// crashed; the coordinator broadcasts END once every DONE arrived (or its
-// deadline passed), and END both retires the epoch and admits the next —
-// no separate BEGIN. A worker that sees no END within twice the epoch
-// timeout self-advances as timed out, so a dead coordinator cannot hang
-// the run. Results stream back to the parent over pipes with the same
-// raw-bytes framing discipline as exp::run_replicated_mp, and the parent
-// merges them into the rt::HarnessResult shape measure_broadcast produces
-// (plus the transport's retransmits / dup_drops tallies).
+// DONE/END is the only cross-process retire rule. A process's epoch
+// countdown covers its local live ranks; the last local credit (or the
+// local deadline, as timed out) sends DONE to process 0. Process 0 seals
+// the epoch everywhere with END once every DONE arrived or its deadline
+// grace passed, and END also admits the next epoch (W = 1 lockstep, no
+// separate BEGIN). Mail for an epoch a process has not launched yet is
+// held back and replayed at launch. A process that sees no END within
+// twice the epoch timeout retires the epoch as timed out, so a dead
+// process 0 cannot hang the run. Control messages ride the same perfect
+// links as protocol mail (negative protocol tags).
+//
+// This file keeps what is specific to processes: socket binding, fork, the
+// pipe report (raw-bytes framing as in exp::run_replicated_mp), the
+// post-run ack drain and the parent-side merge into the rt::HarnessResult
+// shape measure_broadcast produces (plus the transport's retransmits /
+// dup_drops tallies). Crash verdicts apply per rank in the engine; drop,
+// delay and duplicate verdicts apply per datagram in UdpTransport.
 //
 // Fork discipline (same as exp/mp.hpp): call measure_broadcast_udp before
 // the process spawns threads. The parent binds ALL worker sockets before
 // forking — children inherit bound fds, so there is no port-collision or
 // bind-race window, and port_base = 0 can leave port assignment entirely
-// to the kernel.
+// to the kernel. Each child starts its engine's worker thread after fork.
 
 #include <chrono>
 #include <cstdint>

@@ -3,9 +3,11 @@
 #if defined(__unix__) || defined(__APPLE__)
 #define CT_RT_HAVE_UDP 1
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <unistd.h>
 #endif
 
 #include <algorithm>
@@ -28,7 +30,23 @@ void restamp_acks(std::uint8_t* frame, std::uint32_t ack_cum, std::uint64_t ack_
 UdpTransport::UdpTransport(const Options& options)
     : options_(options),
       peers_(options.peer_ports.size()),
-      base_(std::chrono::steady_clock::now()) {}
+      base_(std::chrono::steady_clock::now()) {
+#if CT_RT_HAVE_UDP
+  int fds[2];
+  if (::pipe(fds) == 0) {
+    for (const int fd : fds) ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+    wake_read_ = fds[0];
+    wake_write_ = fds[1];
+  }
+#endif
+}
+
+UdpTransport::~UdpTransport() {
+#if CT_RT_HAVE_UDP
+  if (wake_read_ >= 0) ::close(wake_read_);
+  if (wake_write_ >= 0) ::close(wake_write_);
+#endif
+}
 
 std::int64_t UdpTransport::now_ns() const {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -110,18 +128,6 @@ std::size_t UdpTransport::poll_into(std::size_t to, const EnvelopeSink& sink) {
 #endif
 }
 
-bool UdpTransport::has_mail(std::size_t to) const {
-  static_cast<void>(to);
-#if CT_RT_HAVE_UDP
-  struct pollfd pfd {};
-  pfd.fd = options_.fd;
-  pfd.events = POLLIN;
-  return ::poll(&pfd, 1, 0) > 0 && (pfd.revents & POLLIN) != 0;
-#else
-  return false;
-#endif
-}
-
 void UdpTransport::park(std::size_t to, std::chrono::nanoseconds timeout) {
   static_cast<void>(to);
 #if CT_RT_HAVE_UDP
@@ -133,12 +139,31 @@ void UdpTransport::park(std::size_t to, std::chrono::nanoseconds timeout) {
   const int wait_ms = static_cast<int>(
       std::clamp<std::int64_t>((wait_ns + 999'999) / 1'000'000, 0, 100));
   if (wait_ms == 0) return;
-  struct pollfd pfd {};
-  pfd.fd = options_.fd;
-  pfd.events = POLLIN;
-  ::poll(&pfd, 1, wait_ms);
+  struct pollfd pfd[2] {};
+  pfd[0].fd = options_.fd;
+  pfd[0].events = POLLIN;
+  pfd[1].fd = wake_read_;  // poll(2) ignores a negative fd
+  pfd[1].events = POLLIN;
+  if (::poll(pfd, 2, wait_ms) > 0 && (pfd[1].revents & POLLIN) != 0) {
+    // One read consumes the pending kicks (a few bytes at most); any left
+    // over only make the next park return at once.
+    char drained[64];
+    const ssize_t got = ::read(wake_read_, drained, sizeof(drained));
+    static_cast<void>(got);
+  }
 #else
   static_cast<void>(timeout);
+#endif
+}
+
+void UdpTransport::kick(std::size_t to) {
+  static_cast<void>(to);
+#if CT_RT_HAVE_UDP
+  if (wake_write_ < 0) return;
+  // EAGAIN means the pipe is full of kicks: a wakeup is already pending.
+  const char byte = 1;
+  const ssize_t wrote = ::write(wake_write_, &byte, 1);
+  static_cast<void>(wrote);
 #endif
 }
 

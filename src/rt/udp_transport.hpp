@@ -1,9 +1,10 @@
 #pragma once
 // UdpTransport (DESIGN.md §4j): real POSIX UDP datagrams between OS
 // processes with a perfect-links reliability layer. "Shard" in the
-// Transport seam becomes "peer process": each rt-udp worker owns one
-// nonblocking loopback socket, stages outgoing envelopes per peer, packs
-// them into datagrams at flush time, and recovers loss with per-peer
+// Transport seam becomes "peer process": each rt-udp process is an engine
+// with one local shard, which owns one nonblocking loopback socket. The
+// transport stages outgoing envelopes per peer, packs them into datagrams
+// at flush time, and recovers loss with per-peer
 // sequence numbers, a sliding retransmit window with exponential backoff,
 // piggybacked cumulative + selective acks, and (peer, seq) dedup — the
 // perfect-links contract (no loss, no duplication) the unchanged
@@ -85,6 +86,9 @@ class UdpTransport final : public Transport {
   };
 
   explicit UdpTransport(const Options& options);
+  ~UdpTransport() override;
+  UdpTransport(const UdpTransport&) = delete;
+  UdpTransport& operator=(const UdpTransport&) = delete;
 
   // --- Transport seam -------------------------------------------------------
   /// Stages envelopes for `to`; the staging queue is unbounded (datagram
@@ -95,12 +99,15 @@ class UdpTransport final : public Transport {
   /// Receives every datagram currently queued on the socket, processes
   /// acks, dedups, and delivers fresh data envelopes through `sink`.
   std::size_t poll_into(std::size_t to, const EnvelopeSink& sink) override;
-  bool has_mail(std::size_t to) const override;
-  /// Parks on the socket via poll(2); the timeout is clamped to the next
-  /// retransmit/chaos-release deadline so reliability work never oversleeps.
+  /// Parks on the socket and the kick pipe via poll(2); the timeout is
+  /// clamped to the next retransmit/chaos-release deadline so reliability
+  /// work never oversleeps.
   void park(std::size_t to, std::chrono::nanoseconds timeout) override;
-  /// No cross-thread waiters exist — the owning worker is the only thread.
-  void kick(std::size_t to) override { static_cast<void>(to); }
+  /// Wakes park from any thread: one byte into a nonblocking self-pipe that
+  /// park polls beside the socket. A kick before the park is not lost — the
+  /// byte waits in the pipe. The only method safe to call concurrently with
+  /// the owning worker.
+  void kick(std::size_t to) override;
   /// Packs staged envelopes into datagrams (window permitting), transmits
   /// them, retransmits due unacked frames, releases chaos-delayed frames,
   /// and flushes standalone acks.
@@ -167,6 +174,8 @@ class UdpTransport final : public Transport {
   void send_raw(std::size_t peer_index, const std::uint8_t* data, std::size_t len);
 
   Options options_;
+  int wake_read_ = -1;   ///< self-pipe behind kick(); -1 without POSIX
+  int wake_write_ = -1;
   std::vector<Peer> peers_;
   std::vector<Held> held_;  ///< chaos-delayed frames awaiting release
   const ChaosPlan* chaos_ = nullptr;

@@ -276,6 +276,98 @@ TEST(UdpEngine, SingleProcessDegeneratesToCoordinatorTalkingToItself) {
   EXPECT_EQ(result.harness.dup_drops, 0);
 }
 
+TEST(UdpEngine, EpochThatCannotCompleteTimesOutOnEveryProcess) {
+  std::string why;
+  if (!udp_loopback_available(why)) GTEST_SKIP() << why;
+
+  // A bare tree with a failed inner node leaves rank 1's subtree uncolored
+  // forever. Each process whose slice holds such a rank reports DONE as
+  // timed out at its 300 ms deadline; process 0's END then carries the
+  // verdict to every process, so each epoch ends near its deadline instead
+  // of at the coordinator grace or the watchdog.
+  const Rank procs = 24;
+  const topo::Tree tree = topo::make_binomial_interleaved(procs);
+  proto::CorrectionConfig none;
+  none.kind = proto::CorrectionKind::kNone;
+
+  UdpEngineOptions options;
+  options.num_procs = procs;
+  options.failed.assign(static_cast<std::size_t>(procs), 0);
+  options.failed[1] = 1;
+  options.procs = 3;
+  options.warmup = 0;
+  options.iterations = 2;
+  options.epoch_timeout = std::chrono::milliseconds(300);
+
+  const auto start = std::chrono::steady_clock::now();
+  const UdpRunResult result = measure_broadcast_udp(options, [&]() {
+    return std::make_unique<proto::CorrectedTreeBroadcast>(tree, none);
+  });
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(result.error.empty()) << result.error;
+  EXPECT_EQ(result.procs_used, 3);
+  EXPECT_EQ(result.harness.iterations, options.iterations);
+  EXPECT_EQ(result.harness.timeouts, options.iterations);
+  EXPECT_EQ(result.harness.epochs_degraded, options.iterations);
+  EXPECT_FALSE(result.harness.first.uncolored_survivors.empty());
+  EXPECT_TRUE(result.harness.latency_us.empty());  // no clean epoch
+  // Two 300 ms deadlines plus fork, reap and the ack drain; a hang would
+  // run into the default 10 s.
+  EXPECT_LT(elapsed, std::chrono::seconds(3));
+}
+
+TEST(UdpEngine, CrashChaosTerminatesAndReportsTheCrashedRanks) {
+  std::string why;
+  if (!udp_loopback_available(why)) GTEST_SKIP() << why;
+
+  // Crash times fall in a 1 ns window, so every scheduled victim dies on
+  // its owner's first pass, before any mail: the realized crash set of an
+  // epoch is exactly the plan's schedule for it.
+  const Rank procs = 64;
+  const topo::Tree tree = topo::make_binomial_interleaved(procs);
+  proto::CorrectionConfig correction;
+  correction.kind = proto::CorrectionKind::kChecked;
+  correction.start = proto::CorrectionStart::kOverlapped;
+
+  ChaosOptions chaos;
+  chaos.seed = 0xC4A5u;
+  chaos.crash_fraction = 0.1;
+  chaos.crash_window_ns = 1;
+
+  UdpEngineOptions options;
+  options.num_procs = procs;
+  options.failed.assign(static_cast<std::size_t>(procs), 0);
+  options.procs = 4;
+  options.warmup = 1;
+  options.iterations = 3;
+  options.epoch_timeout = std::chrono::seconds(5);
+  options.chaos = ChaosPlan(chaos);
+
+  const UdpRunResult result = measure_broadcast_udp(options, [&]() {
+    return std::make_unique<proto::CorrectedTreeBroadcast>(tree, correction);
+  });
+  ASSERT_TRUE(result.error.empty()) << result.error;
+  EXPECT_EQ(result.procs_used, 4);
+  EXPECT_EQ(result.harness.iterations, options.iterations);
+  EXPECT_EQ(result.harness.timeouts, 0);
+  EXPECT_EQ(result.harness.incomplete, 0);
+
+  // Epochs count from 1, so the first measured epoch is warmup + 1.
+  std::int64_t scheduled = 0;
+  std::vector<Rank> first_victims;
+  for (std::int64_t epoch = options.warmup + 1;
+       epoch <= options.warmup + options.iterations; ++epoch) {
+    for (Rank r = 0; r < procs; ++r) {
+      if (options.chaos.crash_ns(epoch, r) < 0) continue;
+      ++scheduled;
+      if (epoch == options.warmup + 1) first_victims.push_back(r);
+    }
+  }
+  ASSERT_FALSE(first_victims.empty()) << "seed schedules no crash";
+  EXPECT_EQ(result.harness.first.crashed_ranks, first_victims);
+  EXPECT_EQ(result.harness.ranks_crashed, scheduled);
+}
+
 // --- spec-driven parity (the PR 5/6 oracle) ---------------------------------
 
 std::vector<Rank> pick_victims(Rank procs, int count, support::Xoshiro256ss& rng) {
