@@ -4,9 +4,10 @@
 // LocalFifo ring buffers (no locks — single-threaded within a shard);
 // cross-shard delivery is staged per destination during a scheduling pass
 // and flushed as whole batches through the Transport seam (DESIGN.md §4j),
-// a lock-free SPSC ring per ordered shard pair. The synchronization traffic
-// per pass is O(shards²) for the whole engine, never O(messages): two
-// uncontended cache-line publishes per pair.
+// a lock-free SPSC ring per ordered shard pair, every kFlushQuantum steps
+// and at pass end. The synchronization traffic is O(shards²) per flush for
+// the whole engine, never O(messages): two uncontended cache-line publishes
+// per pair.
 //
 // Every epoch runs in a window slot. A stream admits up to W epochs at
 // once; a one-shot run_epoch admits one and waits for it to retire. Both go
@@ -95,6 +96,14 @@ void pin_to_core(std::size_t core) {
 // keeping the epoch deadline responsive.
 constexpr std::size_t kMaxChainedSends = 4;
 constexpr std::size_t kMaxStepReceives = 4096;
+
+/// Steps between publishes of a shard's staged cross-shard mail inside one
+/// pass. A pass may run live_ranks × W steps, and a tree edge into another
+/// shard would otherwise wait for all of them while the receiving shard
+/// sits parked. 64 steps still amortize the per-destination release store
+/// over a batch and keep a hop's wait far below a pass (at least 1024
+/// steps); the exact value is not critical (DESIGN.md §4f).
+constexpr std::size_t kFlushQuantum = 64;
 
 // rt-udp epoch control rides the same perfect links as protocol mail,
 // marked by negative Message::tag values (sim::tag's well-known tags are all
@@ -648,6 +657,13 @@ class Engine::Impl {
 
       std::size_t stepped = 0;
       while (shard.run_head < shard.run_queue.size() && stepped < step_budget) {
+        // Publish mid-pass, drain at pass start only: a mid-pass drain lets
+        // more orderings reach the correction phase's sweep-skip rule, which
+        // can leave a rank uncolored (DESIGN.md §4f, the correction-skip
+        // hazard).
+        if (stepped != 0 && stepped % kFlushQuantum == 0) {
+          progress |= flush_staged(s, shard);
+        }
         const Rank vr = shard.run_queue[shard.run_head++];
         const auto v = static_cast<std::size_t>(vr);
         core_[v].queued = 0;
@@ -908,10 +924,11 @@ class Engine::Impl {
 
   /// Same-shard destinations go straight into the rank's LocalFifo (and
   /// onto the active set); other shards' traffic is staged per destination
-  /// and flushed at pass end. The slot is keyed by the envelope's epoch, so
-  /// a late envelope of a retired epoch lands in the reused slot's fifo and
-  /// dies at the consumption-time tag filter. Failed destinations are
-  /// dropped, indistinguishable from success.
+  /// and flushed every kFlushQuantum steps and at pass end. The slot is
+  /// keyed by the envelope's epoch, so a late envelope of a retired epoch
+  /// lands in the reused slot's fifo and dies at the consumption-time tag
+  /// filter. Failed destinations are dropped, indistinguishable from
+  /// success.
   void deliver(std::size_t s, Shard& shard, const Envelope& envelope) {
     const auto dst = static_cast<std::size_t>(envelope.msg.dst);
     if (failed_[dst]) return;
@@ -1089,7 +1106,7 @@ class Engine::Impl {
   /// One batch publish per destination shard with staged traffic — a single
   /// send_batch call on the transport (one release store on the pair's
   /// ring). A full ring accepts a prefix; the leftover stays staged in order
-  /// and is retried next pass, preserving per-sender FIFO, so the
+  /// and is retried at the next flush, preserving per-sender FIFO, so the
   /// chained-send bound and the epoch deadline hold under any capacity.
   bool flush_staged(std::size_t s, Shard& shard) {
     bool any = false;

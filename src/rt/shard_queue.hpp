@@ -81,7 +81,9 @@ class LocalFifo {
 
  private:
   void grow() {
-    const std::size_t capacity = buffer_.empty() ? 4 * kInlineSlots : buffer_.size() * 2;
+    // First spill doubles the inline tier: most spills are short bursts, and
+    // with cross-shard mail published mid-pass more fifos spill a little.
+    const std::size_t capacity = buffer_.empty() ? 2 * kInlineSlots : buffer_.size() * 2;
     std::vector<Envelope> next(capacity);
     if (buffer_.empty()) {
       for (std::size_t i = 0; i < size_; ++i) {

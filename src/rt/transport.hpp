@@ -30,9 +30,10 @@
 //    kick wakes it unconditionally and may come from another thread (the
 //    engine's coordinator on slot transitions and shutdown) — a real
 //    wakeup on both transports.
-//  * flush, called once per pass, lets a transport with deferred work
-//    (datagram packing, retransmit timers) make progress; the in-memory
-//    transport publishes eagerly in send_batch and keeps it a no-op.
+//  * flush, called after each round of send_batch calls (every 64 steps
+//    and at pass end), lets a transport with deferred work (datagram
+//    packing, retransmit timers) make progress; the in-memory transport
+//    publishes eagerly in send_batch and keeps it a no-op.
 //  * clear resets between sessions with both sides quiescent.
 
 #include <chrono>

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 
 #include "experiment/run_spec.hpp"
 #include "protocol/ack_tree.hpp"
@@ -366,6 +368,131 @@ TEST(RtSharded, TinyInboxBackpressureStillDelivers) {
   const EpochResult result = engine.run_epoch(protocol, std::chrono::seconds(20));
   EXPECT_FALSE(result.timed_out);
   EXPECT_EQ(result.uncolored_live, 0);
+}
+
+// Every rank sends kBurst numbered messages to each of the ranks one and
+// two shards ahead; receivers count numbers that do not increase per
+// sender, and a rank is colored once both bursts arrived.
+class NumberedBursts final : public sim::Protocol {
+ public:
+  static constexpr sim::Tag kData = 100;
+  static constexpr std::int64_t kBurst = 8;
+
+  NumberedBursts(Rank procs, Rank shard)
+      : procs_(procs), shard_(shard),
+        last_(2 * static_cast<std::size_t>(procs), -1),
+        received_(static_cast<std::size_t>(procs), 0) {}
+
+  void begin(sim::Context& ctx) override {
+    for (Rank r = 0; r < procs_; ++r) {
+      for (std::int64_t n = 0; n < kBurst; ++n) {
+        ctx.send(r, (r + shard_) % procs_, kData, n);
+        ctx.send(r, (r + 2 * shard_) % procs_, kData, n);
+      }
+    }
+  }
+  void on_receive(sim::Context& ctx, Rank me, const sim::Message& msg) override {
+    // Senders are me - shard and me - 2·shard; each receiver's entries
+    // are touched only by the thread stepping it.
+    const Rank hops = ((me - msg.src + procs_) % procs_) / shard_;
+    std::int64_t& last = last_[2 * static_cast<std::size_t>(me) +
+                               static_cast<std::size_t>(hops - 1)];
+    if (msg.payload <= last) reorders.fetch_add(1, std::memory_order_relaxed);
+    last = msg.payload;
+    if (++received_[static_cast<std::size_t>(me)] == 2 * kBurst) ctx.mark_colored(me);
+  }
+  void on_sent(sim::Context&, Rank, const sim::Message&) override {}
+
+  std::atomic<int> reorders{0};
+
+ private:
+  Rank procs_;
+  Rank shard_;
+  std::vector<std::int64_t> last_;
+  std::vector<std::int64_t> received_;
+};
+
+// Rank 0 sends PING into shard 1 and then starts a WORK token that
+// circles shard 0 for more hops than any pass's step budget (at least
+// 1024 steps). At hop kWaitHop the token waits for PING to land. Mail
+// published only at pass end cannot land while the token holds the pass,
+// so PING would meet a whole budget of hops; published mid-pass, it lands
+// during the wait. Only the order of events is checked: the wait is
+// bounded so that a failing build reports instead of hanging.
+class PingThenChain final : public sim::Protocol {
+ public:
+  static constexpr sim::Tag kPing = 100;
+  static constexpr sim::Tag kWork = 101;
+  static constexpr sim::Tag kFill = 102;
+  static constexpr std::int64_t kWaitHop = 128;
+  static constexpr std::int64_t kChainHops = 4096;
+
+  explicit PingThenChain(Rank shard) : shard_(shard) {}
+
+  void begin(sim::Context& ctx) override {
+    ctx.mark_colored(0);
+    ctx.send(0, shard_, kPing, 0);  // first in rank 0's outbox
+    ctx.send(0, 1, kWork, 0);
+  }
+  void on_receive(sim::Context& ctx, Rank me, const sim::Message& msg) override {
+    ctx.mark_colored(me);
+    if (msg.tag == kPing) {
+      hops_at_ping.store(hops_.load(std::memory_order_acquire),
+                         std::memory_order_relaxed);
+      pinged_.store(true, std::memory_order_release);
+      for (Rank r = me + 1; r < ctx.num_procs(); ++r) ctx.send(me, r, kFill, 0);
+    } else if (msg.tag == kWork) {
+      const std::int64_t hop = hops_.fetch_add(1, std::memory_order_acq_rel) + 1;
+      if (hop == kWaitHop) {
+        const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (!pinged_.load(std::memory_order_acquire) &&
+               std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::yield();
+        }
+      }
+      // Circle ranks 1 .. shard-1, one rank step per hop.
+      if (hop < kChainHops) ctx.send(me, me % (shard_ - 1) + 1, kWork, 0);
+    }
+  }
+  void on_sent(sim::Context&, Rank, const sim::Message&) override {}
+
+  std::atomic<std::int64_t> hops_at_ping{-1};
+
+ private:
+  Rank shard_;
+  std::atomic<std::int64_t> hops_{0};
+  std::atomic<bool> pinged_{false};
+};
+
+TEST(RtSharded, TinyMeshKeepsPerSenderFifoAcrossMidPassFlushes) {
+  // Three shards of 128 ranks and 2-slot rings: each shard's first pass
+  // stages 2048 envelopes per destination, so the mid-pass flushes keep
+  // hitting full rings and retrying the staged remainder.
+  const Rank shard = 128;
+  const Rank procs = 3 * shard;
+  EngineOptions options;
+  options.workers = 3;
+  options.mesh_capacity = 2;
+  Engine engine(procs, no_failures(procs), options);
+  NumberedBursts protocol(procs, shard);
+  const EpochResult result = engine.run_epoch(protocol, std::chrono::seconds(20));
+  EXPECT_FALSE(result.timed_out);
+  EXPECT_EQ(result.uncolored_live, 0);  // every message arrived
+  EXPECT_EQ(protocol.reorders.load(), 0);
+}
+
+TEST(RtSharded, CrossShardMailLeavesBeforeTheSenderPassEnds) {
+  const Rank shard = 32;
+  EngineOptions options;
+  options.workers = 2;
+  Engine engine(2 * shard, no_failures(2 * shard), options);
+  PingThenChain protocol(shard);
+  const EpochResult result = engine.run_epoch(protocol, std::chrono::seconds(20));
+  EXPECT_FALSE(result.timed_out);
+  EXPECT_EQ(result.uncolored_live, 0);
+  const std::int64_t at_ping = protocol.hops_at_ping.load();
+  EXPECT_GE(at_ping, 0);
+  EXPECT_LT(at_ping, 1024 / 4) << "PING waited for the sender's whole pass";
 }
 
 TEST(RtSharded, MatchesSimOutcomes) {

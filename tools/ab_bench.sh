@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Interleaved A/B benchmarking against a baseline git ref (EXPERIMENTS.md,
-# "Regenerating BENCH_PR7.json"). Builds the baseline in a throwaway git
-# worktree, then alternates baseline/head runs of each cell A B A B ... so
-# slow drift of the host (thermal state, background load) hits both sides
-# equally, and reports per-cell median throughput and the head/baseline
-# ratio of medians.
+# "Regenerating BENCH_PR7.json"). Builds the baseline from a `git archive`
+# export of BASELINE_REF in .ab-bench/<sha>, then alternates baseline/head
+# runs of each cell A B A B ... so slow drift of the host (thermal state,
+# background load) hits both sides equally, and reports per-cell median
+# throughput and the head/baseline ratio of medians.
 #
 # Usage:
 #   tools/ab_bench.sh BASELINE_REF [-r ROUNDS] [-c CELL]...
 #
-# CELL syntax (repeatable; defaults cover the PR7 acceptance cells):
+# CELL syntax (repeatable; the defaults are the cells listed below):
 #   micro:REGEX    bench/micro_simulator --benchmark_filter=REGEX; metric is
 #                  the events/s counter (falling back to items_per_second).
 #   report:FILTER  tools/bench_report --filter=FILTER; metric is
@@ -17,13 +17,19 @@
 #                  runs/wall_seconds (sim cells). FILTER must match exactly
 #                  one registered cell on both refs.
 #
-# Requires: git worktree, cmake, python3. Head binaries are taken from
-# ./build (build it first); the baseline is configured Release into
-# .ab-bench/<ref>/build.
+# Default cells: the 64Ki sim broadcast micro, the P=1024 rt ladder cell,
+# and the 16Ki open-loop rt_stream cell at window=8,rate=1000 (the
+# wide-window streaming cell of EXPERIMENTS.md). Its W=1 twin, for the
+# W=8 >= W=1 check, is
+#   -c 'report:rt_stream bcast:binomial:opportunistic:4:overlapped@P=16384,reps=24,deadline-ms=30000,rate=1000'
+#
+# Requires: git, tar, cmake, python3. Head binaries are taken from ./build
+# (build it first); the baseline is configured Release into
+# .ab-bench/<sha>/build and reused by later runs.
 
 set -euo pipefail
 
-usage() { sed -n '2,20p' "$0" >&2; exit 2; }
+usage() { sed -n '2,29p' "$0" >&2; exit 2; }
 
 [ $# -ge 1 ] || usage
 BASE_REF=$1
@@ -43,6 +49,8 @@ if [ ${#CELLS[@]} -eq 0 ]; then
     'micro:BM_SimulateBroadcast/65536$'
     # w=1 rt ladder cell: sharded executor messages/s (copy-free step).
     'report:rt bcast:binomial:opportunistic:4:overlapped@P=1024,reps=9'
+    # 16Ki W=8 open-loop stream: cross-shard hop latency under a window.
+    'report:rt_stream bcast:binomial:opportunistic:4:overlapped@P=16384,reps=24,deadline-ms=30000,window=8,rate=1000'
   )
 fi
 
@@ -57,8 +65,9 @@ HEAD_BUILD=$REPO_ROOT/build
 BASE_SHA=$(git rev-parse --short "$BASE_REF")
 BASE_TREE=$REPO_ROOT/.ab-bench/$BASE_SHA
 BASE_BUILD=$BASE_TREE/build
-if [ ! -d "$BASE_TREE" ]; then
-  git worktree add --detach "$BASE_TREE" "$BASE_SHA"
+if [ ! -f "$BASE_TREE/CMakeLists.txt" ]; then
+  mkdir -p "$BASE_TREE"
+  git archive "$BASE_SHA" | tar -x -C "$BASE_TREE"
 fi
 if [ ! -x "$BASE_BUILD/tools/bench_report" ]; then
   cmake -S "$BASE_TREE" -B "$BASE_BUILD" -DCMAKE_BUILD_TYPE=Release >/dev/null

@@ -127,7 +127,8 @@ int main(int argc, char** argv) {
   if (spec.executor != exp::Executor::kSim) {
     std::cout << "spec: " << record.spec << "\n"
               << "executor          : " << record.executor << " (" << record.workers
-              << " worker threads)\n"
+              << (spec.executor == exp::Executor::kRtUdp ? " worker processes)\n"
+                                                         : " worker threads)\n")
               << "iterations        : " << record.runs << "\n"
               << "median latency    : " << record.latency_p50 << " us\n"
               << "p99 latency       : " << record.latency_p99 << " us\n"
