@@ -110,9 +110,9 @@ Aggregate run_replicated(const Scenario& scenario, std::size_t reps, std::uint64
 /// still uses derive_seed(seed, i) with its *global* index, so slices
 /// reproduce exactly the runs the full sweep would execute and
 /// concatenating slice aggregates in ascending order is byte-identical to
-/// run_replicated(scenario, rep_end, seed) started at rep 0. This is the
-/// multi-process sharding entry point (exp::run_replicated_mp,
-/// tools/sweep_shard): each worker process runs one slice.
+/// run_replicated(scenario, rep_end, seed) started at rep 0
+/// (determinism_test pins this). perfbench's sim_mc workload drives its
+/// sweeps through this entry point.
 Aggregate run_replicated_range(const Scenario& scenario, std::size_t rep_begin,
                                std::size_t rep_end, std::uint64_t seed,
                                const support::ThreadPool* pool = nullptr);

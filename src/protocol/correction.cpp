@@ -182,7 +182,11 @@ class CheckedEngine final : public CorrectionEngine {
     if (msg.tag != sim::tag::kCorrection) return;
     ctx.mark_colored(me);
     auto& s = state_[me];
-    if (!s.active) return;
+    // Recorded even before start(): the sender is alive and has already
+    // sent to every rank between it and us. Under overlapped start an inner
+    // node starts only after feeding its children, when its neighbours have
+    // long since sent and stopped; without their evidence it would sweep on
+    // until it met a rank still active, often most of the way round the ring.
     const std::int64_t dist = msg.payload < 0 ? -msg.payload : msg.payload;
     if (msg.payload < 0) {
       // Sender is to our right at `dist`. Stop sending right once we have

@@ -29,17 +29,19 @@
 // links as protocol mail (negative protocol tags).
 //
 // This file keeps what is specific to processes: socket binding, fork, the
-// pipe report (raw-bytes framing as in exp::run_replicated_mp), the
-// post-run ack drain and the parent-side merge into the rt::HarnessResult
-// shape measure_broadcast produces (plus the transport's retransmits /
-// dup_drops tallies). Crash verdicts apply per rank in the engine; drop,
-// delay and duplicate verdicts apply per datagram in UdpTransport.
+// pipe report (raw bytes: same machine, same binary), the post-run ack
+// drain and the parent-side merge into the rt::HarnessResult shape
+// measure_broadcast produces (plus the transport's retransmits / dup_drops
+// tallies). Crash verdicts apply per rank in the engine; drop, delay and
+// duplicate verdicts apply per datagram in UdpTransport.
 //
-// Fork discipline (same as exp/mp.hpp): call measure_broadcast_udp before
-// the process spawns threads. The parent binds ALL worker sockets before
-// forking — children inherit bound fds, so there is no port-collision or
-// bind-race window, and port_base = 0 can leave port assignment entirely
-// to the kernel. Each child starts its engine's worker thread after fork.
+// Fork discipline: call measure_broadcast_udp before the process spawns
+// threads (a forked child inherits only the calling thread, so a lock held
+// by any other thread would deadlock it). The parent binds ALL worker
+// sockets before forking — children inherit bound fds, so there is no
+// port-collision or bind-race window, and port_base = 0 can leave port
+// assignment entirely to the kernel. Each child starts its engine's worker
+// thread after fork.
 
 #include <chrono>
 #include <cstdint>

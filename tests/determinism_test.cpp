@@ -1,7 +1,8 @@
 // Tier-1 determinism guarantees of the rebuilt hot path (run under TSan via
 // the `sanitize` ctest label):
 //  * run_replicated over a thread pool (2/4/8 workers, work-stealing) is
-//    byte-identical to the serial loop;
+//    byte-identical to the serial loop, and run_replicated_range slices
+//    merged in ascending order reproduce the whole sweep;
 //  * the calendar event queue replays the exact (time, lane, seq) event
 //    order of the binary-heap reference on recorded traces, fault-free and
 //    with 2 % faults;
@@ -87,6 +88,28 @@ TEST(RunReplicated, PooledIsByteIdenticalToSerial) {
     const exp::Aggregate pooled = exp::run_replicated(scenario, reps, seed, &pool);
     SCOPED_TRACE(testing::Message() << "workers=" << workers);
     expect_same_aggregate(serial, pooled);
+  }
+}
+
+TEST(RunReplicated, RangeSlicesConcatenateToFullSweep) {
+  // Replication i draws derive_seed(seed, i) from its global index, so
+  // slice aggregates merged in ascending order must reproduce the whole
+  // serial sweep byte for byte, whether each slice ran serially or pooled.
+  const exp::Scenario scenario = corrected_tree_scenario(1024, 0.02);
+  const std::size_t reps = 24;
+  const std::uint64_t seed = 0x5eed5eedULL;
+  const exp::Aggregate whole = exp::run_replicated(scenario, reps, seed);
+  const support::ThreadPool pool(4);
+  const support::ThreadPool* const slice_pools[] = {&pool, nullptr};
+  for (std::size_t split : {std::size_t{1}, std::size_t{7}, reps - 1}) {
+    for (const support::ThreadPool* slice_pool : slice_pools) {
+      exp::Aggregate joined =
+          exp::run_replicated_range(scenario, 0, split, seed, slice_pool);
+      joined.merge(exp::run_replicated_range(scenario, split, reps, seed, slice_pool));
+      SCOPED_TRACE(testing::Message() << "split=" << split
+                                      << " pooled=" << (slice_pool != nullptr));
+      expect_same_aggregate(whole, joined);
+    }
   }
 }
 

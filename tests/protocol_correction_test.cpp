@@ -427,6 +427,27 @@ TEST(Overlapped, NoSlowerColoringThanSynchronized) {
   EXPECT_LE(overlapped_result.coloring_latency, sync_result.quiescence_latency);
 }
 
+TEST(Overlapped, CheckedKeepsStopEvidenceFromBeforeStart) {
+  // Under overlapped start an inner node starts correcting only after it has
+  // sent to all its children, when its ring neighbours have already sent to
+  // it. If their messages were ignored because the node was not active yet,
+  // it swept on towards the far side of the ring: ~71 messages per process
+  // and quiescence ~P at P=4096, against 6 messages and 56 ticks under sync.
+  Scenario sync = base_scenario("binomial", 4096);
+  sync.correction.kind = CorrectionKind::kChecked;
+  sync.correction.start = CorrectionStart::kSynchronized;
+
+  Scenario overlapped = sync;
+  overlapped.correction.start = CorrectionStart::kOverlapped;
+
+  const sim::RunResult sync_result = run_once(sync, 1);
+  const sim::RunResult overlapped_result = run_once(overlapped, 1);
+  ASSERT_TRUE(sync_result.fully_colored());
+  ASSERT_TRUE(overlapped_result.fully_colored());
+  EXPECT_LT(overlapped_result.total_messages, 2 * sync_result.total_messages);
+  EXPECT_LT(overlapped_result.quiescence_latency, 2 * sync_result.quiescence_latency);
+}
+
 TEST(SyncCorrection, RequiresSyncTime) {
   const topo::Tree tree = topo::make_binomial_interleaved(8);
   CorrectionConfig config;

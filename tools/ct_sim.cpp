@@ -121,8 +121,17 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const support::ThreadPool pool;
-  const exp::RunRecord record = exp::run(spec, &pool);
+  // An accepted spec can still fail at run time (e.g. the simulator's
+  // max_events guard, or rt-udp failing to bind a port): report it and
+  // exit 1 instead of letting the exception reach std::terminate.
+  exp::RunRecord record;
+  try {
+    const support::ThreadPool pool;
+    record = exp::run(spec, &pool);
+  } catch (const std::exception& e) {
+    std::cerr << "ct_sim: " << e.what() << "\n";
+    return 1;
+  }
 
   if (spec.executor != exp::Executor::kSim) {
     std::cout << "spec: " << record.spec << "\n"
