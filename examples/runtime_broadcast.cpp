@@ -140,9 +140,8 @@ int main(int argc, char** argv) {
               << result.messages_delayed << "/" << result.messages_duplicated << "\n";
     if (spec.faults.repair) {
       std::cout << "repairs            : " << result.repairs << "\n"
-                << "rejoins            : " << result.rejoins << " ("
-                << result.replayed_epochs << " epochs replayed, "
-                << result.state_transfers << " state transfers)\n"
+                << "rejoins            : " << result.rejoins
+                << " (each joins the next fresh epoch)\n"
                 << "epochs to converge : " << result.epochs_to_converge
                 << " (epochs degraded past the last fault)\n";
     }

@@ -133,7 +133,6 @@ std::string executor_token(const RunSpec& spec) {
   if (spec.executor != Executor::kSim && spec.workers > 0) {
     out += ":w=" + std::to_string(spec.workers);
   }
-  if (spec.rt_pin) out += ":pin";
   if (spec.rt_mesh_capacity > 0) {
     out += ":mesh-cap=" + std::to_string(spec.rt_mesh_capacity);
   }
@@ -169,7 +168,9 @@ void parse_executor(const std::string& text, RunSpec& spec) {
       bad_spec("executor option ':inbox' was removed: cross-shard mail always "
                "takes the lock-free SPSC ring mesh");
     } else if (tokens[i] == "pin") {
-      spec.rt_pin = true;
+      bad_spec("executor option ':pin' was removed: no tool, bench or test "
+               "ran pinned, and unpinned workers are the right default on "
+               "shared hosts");
     } else if (tokens[i].rfind("mesh-cap=", 0) == 0) {
       spec.rt_mesh_capacity = parse_int("exec:mesh-cap", tokens[i].substr(9));
       if (spec.rt_mesh_capacity < 1) {
@@ -186,8 +187,8 @@ void parse_executor(const std::string& text, RunSpec& spec) {
   if (spec.executor == Executor::kSim && spec.workers > 0) {
     bad_spec("exec=sim takes no ':w=' worker count (pass a ThreadPool to run())");
   }
-  if (spec.executor != Executor::kRtSharded && (spec.rt_pin || spec.rt_mesh_capacity > 0)) {
-    bad_spec("executor options ':pin', ':mesh-cap' apply to exec=rt-sharded only");
+  if (spec.executor != Executor::kRtSharded && spec.rt_mesh_capacity > 0) {
+    bad_spec("executor option ':mesh-cap' applies to exec=rt-sharded only");
   }
   if (spec.executor != Executor::kRtUdp &&
       (spec.rt_port_base > 0 || spec.rt_procs > 0)) {
@@ -487,8 +488,8 @@ void RunSpec::validate() const {
   if (protocol == ProtocolKind::kGossip && faults.gap_limit > 0) {
     bad_spec("gap= placement limits need a tree protocol");
   }
-  if (executor != Executor::kRtSharded && (rt_pin || rt_mesh_capacity > 0)) {
-    bad_spec("executor options ':pin', ':mesh-cap' apply to exec=rt-sharded only");
+  if (executor != Executor::kRtSharded && rt_mesh_capacity > 0) {
+    bad_spec("executor option ':mesh-cap' applies to exec=rt-sharded only");
   }
   if (rt_mesh_capacity < 0) bad_spec("exec:mesh-cap must be >= 1");
 
@@ -893,56 +894,81 @@ rt::ChaosPlan make_chaos_plan(const RunSpec& spec) {
   return plan;
 }
 
-/// The one-shot protocol inputs both rt paths build from a spec — the
-/// wall-clock correction and gossip configs, the allreduce inputs, the
-/// chunk count — and the factory over them. The factory captures the
-/// members by reference, so the object stays put for the life of the
-/// measurement call. gossip_epoch advances once per factory call; under
-/// rt-udp every process invokes the factory exactly once per epoch in
-/// lockstep, so the per-epoch gossip seeds agree across processes.
+/// The rt protocol inputs built once from a spec — the wall-clock
+/// correction and gossip configs, the chunk count — and the one builder
+/// over them. build(view) makes the spec's protocol over the live ranks of
+/// `view`: on the spec's tree for the identity view, else on the tree
+/// rebuilt over the survivors. `factory` is build() over the identity view,
+/// for the executors whose membership never changes; it holds `this`, so
+/// the object stays put for the life of the measurement call.
+/// gossip_epoch advances once per build; under rt-udp every process
+/// invokes the factory exactly once per epoch in lockstep, so the per-epoch
+/// gossip seeds agree across processes.
 struct RtProtocols {
-  RtProtocols(const RunSpec& spec, const topo::Tree& tree)
-      : correction(spec.correction),
-        values(static_cast<std::size_t>(spec.params.P)),
-        chunks(static_cast<std::int32_t>(spec.chunk_count())) {
+  RtProtocols(const RunSpec& spec_in, const topo::Tree& tree_in)
+      : spec(spec_in),
+        tree(tree_in),
+        identity(rt::MembershipView::identity(spec_in.params.P)),
+        correction(spec_in.correction),
+        chunks(static_cast<std::int32_t>(spec_in.chunk_count())) {
     default_delay(correction, spec.params, /*wall_clock=*/true);
-    for (topo::Rank r = 0; r < spec.params.P; ++r) {
-      values[static_cast<std::size_t>(r)] = r % 97;
-    }
     if (spec.protocol == ProtocolKind::kGossip) {
       gossip = spec.to_scenario().gossip;
       default_delay(gossip.correction, spec.params, /*wall_clock=*/true);
     }
-    factory = [this, &spec, &tree]() -> std::unique_ptr<sim::Protocol> {
-      if (spec.collective == Collective::kAllreduce) {
-        proto::AllReduceConfig config;
-        config.reduce.distance = spec.reduce_distance;
-        config.correction = correction;
-        return std::make_unique<proto::CorrectedAllReduce>(tree, spec.params, values,
-                                                           config);
-      }
-      switch (spec.protocol) {
-        case ProtocolKind::kAckTree:
-          return std::make_unique<proto::AckTreeBroadcast>(tree, nullptr, chunks);
-        case ProtocolKind::kGossip: {
-          gossip.seed = support::derive_seed(spec.seed, ++gossip_epoch);
-          return std::make_unique<proto::CorrectedGossipBroadcast>(spec.params.P, gossip);
-        }
-        case ProtocolKind::kCorrectedTree:
-          break;
-      }
-      return std::make_unique<proto::CorrectedTreeBroadcast>(tree, correction, 0, nullptr,
-                                                             nullptr, chunks);
-    };
+    factory = [this] { return build(identity); };
   }
   RtProtocols(const RtProtocols&) = delete;
   RtProtocols& operator=(const RtProtocols&) = delete;
 
+  std::unique_ptr<sim::Protocol> build(const rt::MembershipView& view) {
+    const topo::Rank live = view.num_live();
+    const topo::Tree* t = &tree;
+    if (!view.is_identity()) {
+      // The survivor tree depends only on the live count, so it is rebuilt
+      // when that moves, not at every repair boundary.
+      if (!survivors || survivors->num_procs() != live) {
+        survivors = std::make_unique<topo::Tree>(topo::make_survivor_tree(spec.tree, live));
+      }
+      t = survivors.get();
+    }
+    if (spec.collective == Collective::kAllreduce) {
+      // Inputs keyed by *global* rank: the agreed reduction after a repair
+      // is the reduction over the survivors' original inputs.
+      std::vector<std::int64_t> values(static_cast<std::size_t>(live));
+      for (topo::Rank d = 0; d < live; ++d) {
+        values[static_cast<std::size_t>(d)] = view.global_of(d) % 97;
+      }
+      sim::LogP live_params = spec.params;
+      live_params.P = live;
+      proto::AllReduceConfig config;
+      config.reduce.distance = spec.reduce_distance;
+      config.correction = correction;
+      return std::make_unique<proto::CorrectedAllReduce>(*t, live_params,
+                                                         std::move(values), config);
+    }
+    switch (spec.protocol) {
+      case ProtocolKind::kAckTree:
+        return std::make_unique<proto::AckTreeBroadcast>(*t, nullptr, chunks);
+      case ProtocolKind::kGossip: {
+        gossip.seed = support::derive_seed(spec.seed, ++gossip_epoch);
+        return std::make_unique<proto::CorrectedGossipBroadcast>(live, gossip);
+      }
+      case ProtocolKind::kCorrectedTree:
+        break;
+    }
+    return std::make_unique<proto::CorrectedTreeBroadcast>(*t, correction, 0, nullptr,
+                                                           nullptr, chunks);
+  }
+
+  const RunSpec& spec;
+  const topo::Tree& tree;
+  const rt::MembershipView identity;
   proto::CorrectionConfig correction;
-  std::vector<std::int64_t> values;
   proto::GossipConfig gossip;
   std::uint64_t gossip_epoch = 0;
   std::int32_t chunks;
+  std::unique_ptr<topo::Tree> survivors;  ///< the last survivor tree built
   rt::ProtocolFactory factory;
 };
 
@@ -971,8 +997,6 @@ RunRecord harness_record(const RunSpec& spec, const rt::HarnessResult& result,
   record.uncolored_survivors = result.first.uncolored_survivors;
   record.repairs = result.repairs;
   record.rejoins = result.rejoins;
-  record.replayed_epochs = result.replayed_epochs;
-  record.state_transfers = result.state_transfers;
   record.epochs_to_converge = result.epochs_to_converge;
   record.retransmits = result.retransmits;
   record.dup_drops = result.dup_drops;
@@ -1014,7 +1038,6 @@ RunRecord run_rt(const RunSpec& spec) {
 
   rt::EngineOptions engine_options;
   engine_options.workers = spec.workers;
-  engine_options.pin_threads = spec.rt_pin;
   if (spec.rt_mesh_capacity > 0) {
     engine_options.mesh_capacity = static_cast<std::size_t>(spec.rt_mesh_capacity);
   }
@@ -1063,7 +1086,6 @@ RunRecord run_rt(const RunSpec& spec) {
     record.deliveries_per_sec = result.deliveries_per_sec();
     record.repairs = result.repairs;
     record.rejoins = result.rejoins;
-    record.state_transfers = result.state_transfers;
     record.epochs_to_converge = result.epochs_to_converge;
     for (const rt::StreamEpoch& epoch : result.raw.epochs) {
       if (epoch.degraded()) ++record.epochs_degraded;
@@ -1088,60 +1110,15 @@ RunRecord run_rt(const RunSpec& spec) {
     harness.epoch_timeout = std::chrono::milliseconds(spec.deadline_ms);
   }
 
-  rt::HarnessResult result;
-  if (spec.faults.repair) {
-    // Self-healing one-shot path: each epoch's protocol is sized to the live
-    // membership; after a repair the tree is rebuilt over the survivors and
-    // the harness remaps dense <-> stable global ranks (DESIGN.md §4i). The
-    // repaired tree is cached per membership generation — rebuilds happen at
-    // repair boundaries only, not every epoch.
-    std::int32_t cached_generation = 0;
-    std::unique_ptr<topo::Tree> repaired;
-    const rt::MembershipProtocolFactory membership_factory =
-        [&](const rt::MembershipView& view) -> std::unique_ptr<sim::Protocol> {
-      const topo::Tree* t = &tree;
-      if (!view.is_identity()) {
-        if (!repaired || cached_generation != view.generation()) {
-          repaired = std::make_unique<topo::Tree>(
-              topo::make_survivor_tree(spec.tree, view.num_live()));
-          cached_generation = view.generation();
-        }
-        t = repaired.get();
-      }
-      if (spec.collective == Collective::kAllreduce) {
-        // Survivor values keyed by *global* rank: the agreed reduction after
-        // a repair is the reduction over the survivors' original inputs.
-        std::vector<std::int64_t> dense(static_cast<std::size_t>(view.num_live()));
-        for (topo::Rank d = 0; d < view.num_live(); ++d) {
-          dense[static_cast<std::size_t>(d)] = view.global_of(d) % 97;
-        }
-        sim::LogP live_params = spec.params;
-        live_params.P = view.num_live();
-        proto::AllReduceConfig config;
-        config.reduce.distance = spec.reduce_distance;
-        config.correction = protocols.correction;
-        return std::make_unique<proto::CorrectedAllReduce>(*t, live_params, dense,
-                                                           config);
-      }
-      switch (spec.protocol) {
-        case ProtocolKind::kAckTree:
-          return std::make_unique<proto::AckTreeBroadcast>(*t, nullptr, protocols.chunks);
-        case ProtocolKind::kGossip: {
-          protocols.gossip.seed =
-              support::derive_seed(spec.seed, ++protocols.gossip_epoch);
-          return std::make_unique<proto::CorrectedGossipBroadcast>(view.num_live(),
-                                                                   protocols.gossip);
-        }
-        case ProtocolKind::kCorrectedTree:
-          break;
-      }
-      return std::make_unique<proto::CorrectedTreeBroadcast>(
-          *t, protocols.correction, 0, nullptr, nullptr, protocols.chunks);
-    };
-    result = rt::measure_recovery(engine, membership_factory, harness);
-  } else {
-    result = rt::measure_broadcast(engine, protocols.factory, harness);
-  }
+  // Self-healing one-shot runs size each epoch's protocol to the survivor
+  // view the engine mends at every boundary (DESIGN.md §4i).
+  const rt::HarnessResult result =
+      spec.faults.repair
+          ? rt::measure_recovery(
+                engine,
+                [&](const rt::MembershipView& view) { return protocols.build(view); },
+                harness)
+          : rt::measure_broadcast(engine, protocols.factory, harness);
   return harness_record(spec, result, static_cast<std::int64_t>(engine.worker_threads()));
 }
 
@@ -1185,12 +1162,10 @@ void RunRecord::write_json(support::JsonWriter& w) const {
       .field("offered_rate", offered_rate, 1)
       .field("achieved_rate", achieved_rate, 1)
       .field("deliveries_per_sec", deliveries_per_sec, 0)
-      // Recovery keys appended after the streaming block, same append-only
-      // contract: positional readers of older records stay correct.
+      // Recovery keys follow the streaming block. Every rejoin joins a
+      // fresh epoch, so no key splits rejoins by how they caught up.
       .field("repairs", repairs)
       .field("rejoins", rejoins)
-      .field("replayed_epochs", replayed_epochs)
-      .field("state_transfers", state_transfers)
       .field("epochs_to_converge", epochs_to_converge)
       // Transport keys appended after the recovery block (exec=rt-udp
       // perfect-links tallies; zeros on in-process executors).

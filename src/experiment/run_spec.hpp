@@ -78,9 +78,10 @@ struct FaultModel {
   std::int64_t delay_us = 200;
 
   // --- self-healing membership (PR9; rt executors only) ---
-  /// repair=1: crashes become persistent and the run repairs itself at
-  /// every epoch boundary — one-shot runs rebuild the tree over survivors
-  /// (rt::measure_recovery), streams retire corpses at admission.
+  /// repair=1: crashes become persistent and the engine mends the
+  /// membership at every epoch boundary (rt::Engine::mend). One-shot runs
+  /// rebuild the tree over the survivors (rt::measure_recovery); streams
+  /// keep their tree and retire corpses at admission.
   bool repair = false;
   /// revive-frac=p: probability a crashed rank gets a deterministic
   /// revive schedule (ChaosPlan::revive_after_ns; same SplitMix64 contract
@@ -132,10 +133,8 @@ struct RunSpec {
   double rate = 0.0;  ///< open-loop offered epochs/s (sim: model-time, 1 tick ≙ 1 µs)
   std::int64_t chunk = 0;  ///< chunk size in bytes; 0 = unchunked
 
-  // --- rt-sharded executor knobs (exec=rt-sharded:w=8:pin:mesh-cap=N).
-  // Defaults (no pinning, engine-default capacity) are canonical, so
-  // existing spec strings and golden outputs are unchanged.
-  bool rt_pin = false;              ///< ':pin' — shard→core thread pinning
+  // --- rt-sharded executor knob (exec=rt-sharded:w=8:mesh-cap=N). The
+  // engine-default capacity is canonical: to_string() omits it.
   std::int64_t rt_mesh_capacity = 0;  ///< ':mesh-cap=N' per-pair ring; 0 = default
 
   // --- rt-udp executor knobs (exec=rt-udp[:port-base=N][:procs=N]). The
@@ -170,11 +169,11 @@ struct RunSpec {
 /// std::invalid_argument with a message naming the offending token.
 RunSpec parse_run_spec(const std::string& text);
 
-/// Parses one exec= token — "sim", "rt-sharded[:w=N][:pin][:mesh-cap=N]",
+/// Parses one exec= token — "sim", "rt-sharded[:w=N][:mesh-cap=N]",
 /// "rt-udp[:port-base=N][:procs=N]" — into spec.executor and the rt knobs.
 /// The shared executor-name table for CLIs taking the executor as its own
 /// flag. Throws std::invalid_argument on unknown names or options, naming
-/// the removed "rt-tpr" executor and ":inbox" option as such.
+/// the removed "rt-tpr" executor and ":inbox" / ":pin" options as such.
 void parse_executor(const std::string& text, RunSpec& spec);
 
 /// Outcome of one RunSpec execution. One struct for both substrates;
@@ -215,16 +214,13 @@ struct RunRecord {
   std::int64_t messages_duplicated = 0;
 
   // --- recovery tallies (repair=1 runs only; zeros otherwise). JSON keys
-  // are appended at the END of write_json so positional bench tooling
-  // written against older records keeps working. ---
+  // follow the streaming block in write_json. ---
   std::int64_t repairs = 0;
   std::int64_t rejoins = 0;
-  std::int64_t replayed_epochs = 0;
-  std::int64_t state_transfers = 0;
   std::int64_t epochs_to_converge = 0;
 
   // --- transport tallies (exec=rt-udp only; zeros on in-process
-  // executors). Same append-only JSON contract as the blocks above. ---
+  // executors). JSON keys follow the recovery block. ---
   std::int64_t retransmits = 0;  ///< perfect-links datagram retransmissions
   std::int64_t dup_drops = 0;    ///< duplicate datagrams dropped by dedup
 

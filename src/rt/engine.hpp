@@ -155,7 +155,7 @@ struct StreamEpoch {
   /// counted in `crashed`/`uncolored`.
   std::int32_t dead_at_start = 0;
   /// Repair mode only: revived ranks that rejoined at this admission (each
-  /// one a fresh-epoch state transfer; streams carry no replay log).
+  /// joins the fresh epoch; the new protocol instance carries its state).
   std::int32_t rejoined = 0;
   std::vector<RankEnd> rank_state;  ///< filled only with keep_rank_state
 
@@ -184,25 +184,26 @@ struct EngineOptions {
   /// backpressure (staged retry) keeps any capacity correct, so small rings
   /// are safe. Must be >= 1 (constructor rejects 0).
   std::size_t mesh_capacity = 1024;
-  /// Pin worker s to core (s mod hardware_concurrency()). Best effort
-  /// (Linux only; silently a no-op elsewhere or on failure). With
-  /// contiguous rank slices this keeps a shard's rank state and the rings
-  /// it owns on the node that first touches them — the NUMA story is
-  /// placement by first touch plus a stable shard→core map.
-  bool pin_threads = false;
   /// Hard upper bound on any epoch's wall time; 0 = none. Combined with the
   /// per-call run_epoch timeout (the smaller positive bound wins), so chaos
   /// soaks always terminate: on expiry the engine force-quiesces and the
   /// EpochResult carries the degradation diagnostics instead of hanging.
   std::chrono::nanoseconds epoch_deadline{0};
   /// Self-healing membership (DESIGN.md §4i). Chaos crashes become
-  /// *persistent*: a rank killed mid-epoch stays dead across epochs until
-  /// revived, and the caller repairs the membership at epoch boundaries via
-  /// Engine::repair_membership (one-shot epochs) or the stream coordinator
-  /// does so at admission boundaries (run_stream). Off by default — without
-  /// it every epoch starts from the constructed failure set, the pre-PR9
-  /// behavior.
+  /// *persistent*: the engine records a rank killed mid-epoch as dead when
+  /// it collects the epoch, and Engine::mend() readmits it once its revive
+  /// schedule comes due. Stream admissions mend by themselves; one-shot
+  /// callers mend before building each epoch's protocol. Off by default —
+  /// without it every epoch starts from the constructed failure set.
   bool repair = false;
+};
+
+/// What one admission-boundary mend changed (Engine::mend).
+struct Mend {
+  std::int32_t rejoined = 0;  ///< revived ranks readmitted at this boundary
+  /// The membership changed since the last boundary (crashes persisted or
+  /// ranks rejoined) and the generation was bumped.
+  bool generation_moved = false;
 };
 
 class Engine {
@@ -216,7 +217,9 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   topo::Rank num_procs() const noexcept { return num_procs_; }
-  topo::Rank live_count() const noexcept { return live_count_; }
+  /// Ranks not in the dead set. In repair mode it drops when an epoch's
+  /// collection persists a crash and rises when mend() readmits a rank.
+  topo::Rank live_count() const noexcept;
   const EngineOptions& options() const noexcept { return options_; }
   /// OS threads the executor runs (one per shard).
   std::size_t worker_threads() const noexcept;
@@ -226,9 +229,9 @@ class Engine {
   EpochResult run_epoch(sim::Protocol& protocol, std::chrono::nanoseconds timeout);
 
   /// Runs a windowed epoch stream (see StreamOptions). Serializes with
-  /// run_epoch — never call both concurrently. In repair mode the stream
-  /// persists crashes and readmits revived ranks at admission boundaries,
-  /// and membership()/generation()/live_count() reflect its final state.
+  /// run_epoch — never call both concurrently. In repair mode every
+  /// admission runs mend(), so membership()/generation()/live_count()
+  /// reflect the stream's final state.
   StreamResult run_stream(const ProtocolFactory& factory, const StreamOptions& options);
 
   /// Installs (or, with a default-constructed plan, removes) a fault-
@@ -240,28 +243,23 @@ class Engine {
 
   // --- Self-healing membership (EngineOptions::repair; DESIGN.md §4i) ----
 
-  /// Epoch-boundary repair pass. Marks `newly_dead` (global ranks, e.g. the
-  /// previous EpochResult's crashed_ranks) as persistently dead, clears the
-  /// dead flag of `revived` ranks (chaos-crashed only — ranks failed at
-  /// construction have no execution slot to revive), recomputes the dense
-  /// survivor view and pushes the new membership + bumped generation into
-  /// the executor. Returns false (and changes nothing) when the requested
-  /// transition is a no-op. Must not be called while an epoch is running;
-  /// throws std::logic_error unless EngineOptions::repair is set,
-  /// std::invalid_argument for rank 0, out-of-range or construction-failed
-  /// revivals.
-  bool repair_membership(const std::vector<topo::Rank>& newly_dead,
-                         const std::vector<topo::Rank>& revived);
+  /// Admission-boundary membership step, the one place membership changes:
+  /// readmits crashed ranks whose revive schedule has come due and, when
+  /// the membership changed since the last boundary (crashes persisted at
+  /// collection, or these rejoins), bumps the generation and recomputes
+  /// membership(). Stream admissions run it themselves; a one-shot caller
+  /// runs it before building each epoch's protocol. Must not be called
+  /// while an epoch is running; throws std::logic_error unless
+  /// EngineOptions::repair is set.
+  Mend mend();
 
-  /// Current global->dense survivor mapping (identity until the first
-  /// effective repair_membership call).
-  const MembershipView& membership() const noexcept { return membership_; }
-  std::int32_t generation() const noexcept { return generation_; }
+  /// Current global->dense survivor mapping (identity until the first mend
+  /// that moves the generation).
+  const MembershipView& membership() const noexcept;
+  std::int32_t generation() const noexcept;
   /// True when `r` holds no execution slot in the current membership
-  /// (failed at construction, or crashed and persisted by a repair pass).
-  bool is_dead(topo::Rank r) const {
-    return dead_[static_cast<std::size_t>(r)] != 0;
-  }
+  /// (failed at construction, or crashed and persisted in repair mode).
+  bool is_dead(topo::Rank r) const;
 
  private:
   /// rt-udp's share of a rank space split across processes (see
@@ -281,15 +279,7 @@ class Engine {
   topo::Rank num_procs_;
   std::vector<char> failed_;
   EngineOptions options_;
-  topo::Rank live_count_ = 0;
   ChaosPlan chaos_;
-  /// The persistent dead set: failed_ plus persisted chaos crashes minus
-  /// revivals; equals failed_ when repair is off. The executor reads it at
-  /// every admission and repair-mode streams write it. Declared before
-  /// impl_ — the executor references it during destruction.
-  std::vector<char> dead_;
-  MembershipView membership_;
-  std::int32_t generation_ = 0;
   class Impl;  // the sharded executor (engine_sharded.cpp)
   std::unique_ptr<Impl> impl_;  // last member: destroyed before the state it references
 };

@@ -53,11 +53,6 @@
 #include "rt/transport_mem.hpp"
 #include "rt/udp_transport.hpp"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace ct::rt {
 
 namespace {
@@ -68,19 +63,6 @@ constexpr std::chrono::microseconds kIdleWait{50};
 /// Park bound for a worker with no slot to serve. Wakeups are lossless
 /// (Doorbell predicate), so this is only a safety net.
 constexpr std::chrono::milliseconds kIdlePark{5};
-
-/// Best-effort shard→core pinning (EngineOptions::pin_threads). Failure is
-/// ignored: affinity is a performance hint, never a correctness need.
-void pin_to_core(std::size_t core) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(core), &set);
-  static_cast<void>(pthread_setaffinity_np(pthread_self(), sizeof(set), &set));
-#else
-  static_cast<void>(core);
-#endif
-}
 
 // Per-rank-step drain bounds. Everything already in the outbox when a step
 // begins is drained in full — that backlog is bounded by protocol fan-out
@@ -153,14 +135,14 @@ void finish_from_rank_state(EpochResult& epoch) {
 
 class Engine::Impl {
  public:
-  Impl(Rank num_procs, const std::vector<char>& failed, std::vector<char>& dead,
-       Rank live_count, const EngineOptions& options, const ProcessSlice* slice)
+  Impl(Rank num_procs, const std::vector<char>& failed, const EngineOptions& options,
+       const ProcessSlice* slice)
       : num_procs_(num_procs),
         failed_(failed),
-        dead_(dead),
-        live_count_(live_count),
+        dead_(failed),
+        live_count_(static_cast<Rank>(std::count(failed.begin(), failed.end(), 0))),
+        membership_(MembershipView::identity(num_procs)),
         repair_(options.repair),
-        pin_threads_(options.pin_threads),
         session_barrier_(build_shards(options, slice) + 1) {
     resize_rank_state(1);
     threads_.reserve(local_shards_);
@@ -187,9 +169,9 @@ class Engine::Impl {
     StreamEpoch rec;
     EpochResult result;
     drive(
-        1, 0.0, [&](std::size_t w) { launch(w, protocol, false); },
+        1, 0.0, [&](std::size_t w) { launch(w, protocol); },
         [&](std::size_t w, std::size_t, sim::Time origin) {
-          collect(w, origin, rec, &result, false, false);
+          collect(w, origin, rec, &result, false);
         });
     result.timed_out = rec.timed_out;
     result.total_messages = rec.messages;
@@ -210,9 +192,6 @@ class Engine::Impl {
       open_session(options.window);
     }
     timeout_ns_ = timeout_ns;
-    down_.clear();
-    membership_dirty_ = false;
-    repairs_ = 0;
 
     StreamResult result;
     result.epochs.resize(static_cast<std::size_t>(options.epochs));
@@ -221,16 +200,19 @@ class Engine::Impl {
         options.epochs, options.rate,
         [&](std::size_t w) {
           StreamSlot& slot = slots_[w];
+          if (repair_) {
+            const Mend mended = mend();
+            slot.rejoined = mended.rejoined;
+            result.repairs += mended.generation_moved;
+          }
           slot.owned = factory();
-          launch(w, *slot.owned, repair_);
+          launch(w, *slot.owned);
         },
         [&](std::size_t w, std::size_t index, sim::Time origin) {
-          collect(w, origin, result.epochs[index], nullptr, options.keep_rank_state,
-                  repair_);
+          collect(w, origin, result.epochs[index], nullptr, options.keep_rank_state);
         });
     result.wall_seconds =
         std::chrono::duration<double>(Clock::now() - wall_start).count();
-    result.repairs = repairs_;
     return result;
   }
 
@@ -243,16 +225,38 @@ class Engine::Impl {
     chaos_ = plan;
   }
 
-  /// Repair pass (DESIGN.md §4i): the Engine facade already rewrote the
-  /// shared dead set. Workers never read it — every admission turns it into
-  /// per-slot pre-marks — so this runs without quiescing them.
-  void set_membership(Rank live_count, std::int32_t generation) {
-    live_count_ = live_count;
-    generation_ = generation;
+  /// Admission-boundary membership step (Engine::mend, DESIGN.md §4i):
+  /// revive ranks whose schedule came due — each joins the fresh epoch, whose
+  /// new protocol instance carries its whole state — and, if the membership
+  /// changed since the last boundary, bump the generation and recompute the
+  /// survivor view. Coordinator-only: workers never read the dead set, so
+  /// this runs without quiescing them.
+  Mend mend() {
+    Mend result;
+    const sim::Time at = now();
+    std::size_t keep = 0;
+    for (const Down& down : down_) {
+      if (at >= down.revive_at_ns) {
+        dead_[static_cast<std::size_t>(down.rank)] = 0;
+        ++live_count_;
+        ++result.rejoined;
+      } else {
+        down_[keep++] = down;
+      }
+    }
+    down_.resize(keep);
+    if (!membership_dirty_ && result.rejoined == 0) return result;
+    membership_dirty_ = false;
+    generation_ = (generation_ + 1) & 0xFF;  // 8-bit field in the envelope tag
+    membership_ = MembershipView::over_survivors(dead_, generation_);
+    result.generation_moved = true;
+    return result;
   }
 
   Rank live_count() const noexcept { return live_count_; }
   std::int32_t generation() const noexcept { return generation_; }
+  const MembershipView& membership() const noexcept { return membership_; }
+  bool is_dead(Rank r) const { return dead_[static_cast<std::size_t>(r)] != 0; }
 
  private:
   struct Timer {
@@ -378,7 +382,7 @@ class Engine::Impl {
     std::int64_t launch_ns = -1;   // when begin() returned; -1 while it runs
     std::int64_t deadline_ns = 0;  // 0 = none
     std::int32_t tag = 0;          // Envelope::make_tag(epoch, generation)
-    std::int32_t rejoined = 0;     // repair-mode streams: revivals joining here
+    std::int32_t rejoined = 0;     // repair-mode streams: mend() rejoins at launch
     sim::Protocol* protocol = nullptr;
     std::unique_ptr<sim::Protocol> owned;  // streams: the factory's instance
     std::unique_ptr<SlotContext> context;
@@ -612,12 +616,6 @@ class Engine::Impl {
   // --- Worker side ------------------------------------------------------------
 
   void worker_main(std::size_t s) {
-    if (pin_threads_) {
-      // Stable shard→core map; with contiguous rank slices and first-touch
-      // allocation this keeps a shard's rank state and its consumer ring
-      // column on the core (and NUMA node) that works them.
-      pin_to_core(s % std::max(1u, std::thread::hardware_concurrency()));
-    }
     for (;;) {
       session_barrier_.arrive_and_wait();  // session start (or shutdown)
       if (shutdown_.load(std::memory_order_acquire)) return;
@@ -1336,6 +1334,7 @@ class Engine::Impl {
           slot.retire_ns.store(-1, std::memory_order_relaxed);
           slot.timed_out.store(false, std::memory_order_relaxed);
           slot.done.store(0, std::memory_order_relaxed);
+          slot.rejoined = 0;
           slot.state.store(kSlotStaging, std::memory_order_release);
           wake_workers();
           ++admitted;
@@ -1364,16 +1363,12 @@ class Engine::Impl {
   /// kStaged → kActive: the coordinator owns the slot here — every shard
   /// has acked the staging reset, no worker touches the slot's rank state
   /// until the kActive release-store publishes everything written below.
-  /// `mend`: a repair-mode stream, which revives due ranks here itself;
-  /// one-shot epochs leave repair to Engine::repair_membership.
-  void launch(std::size_t w, sim::Protocol& protocol, bool mend) {
+  void launch(std::size_t w, sim::Protocol& protocol) {
     StreamSlot& slot = slots_[w];
     slot.protocol = &protocol;
     slot.begin_ns = now();
     slot.launch_ns = -1;  // begin() sees epoch time 0
-    slot.rejoined = 0;
     if (repair_) {
-      if (mend) revive_due(slot);
       // Ranks already dead at admission become corpses of this slot: they
       // complete and discard their mail without ever stepping a protocol.
       // Epochs already in flight keep the membership they were admitted
@@ -1426,38 +1421,13 @@ class Engine::Impl {
     reset(local_hi_, num_procs_);
   }
 
-  /// Admission-boundary repair of a stream: revive ranks whose schedule
-  /// came due (a fresh-epoch state transfer — the new protocol instance
-  /// carries the epoch's full state, nothing to replay) and bump the
-  /// generation if the membership changed since the last admission.
-  void revive_due(StreamSlot& slot) {
-    bool changed = membership_dirty_;
-    membership_dirty_ = false;
-    std::size_t keep = 0;
-    for (const Down& down : down_) {
-      if (slot.begin_ns >= down.revive_at_ns) {
-        dead_[static_cast<std::size_t>(down.rank)] = 0;
-        ++live_count_;
-        ++slot.rejoined;
-        changed = true;
-      } else {
-        down_[keep++] = down;
-      }
-    }
-    down_.resize(keep);
-    if (changed) {
-      generation_ = (generation_ + 1) & 0xFF;  // 8-bit field in the envelope tag
-      ++repairs_;
-    }
-  }
-
   /// kDone: all shards acked the seal, so the seal-ack chain's acq_rel
   /// fetch_adds give the coordinator a happens-after edge over every worker
   /// write to this slot's slice. Fills `rec` (times relative to `origin`)
-  /// and, for one-shot epochs, the per-rank detail of `full`; with `mend`
-  /// (repair-mode streams) it also persists this epoch's crashes.
+  /// and, for one-shot epochs, the per-rank detail of `full`. In repair
+  /// mode it also persists this epoch's crashes for the next mend().
   void collect(std::size_t w, sim::Time origin, StreamEpoch& rec, EpochResult* full,
-               bool keep_rank_state, bool mend) {
+               bool keep_rank_state) {
     StreamSlot& slot = slots_[w];
     rec.epoch = slot.epoch;
     rec.scheduled_ns = slot.scheduled_ns - origin;
@@ -1496,7 +1466,7 @@ class Engine::Impl {
       if (core.crashed) {
         ++rec.crashed;
         if (keep_state) rec.rank_state[ri] = RankEnd::kCrashed;
-        if (mend && !dead_[ri]) {
+        if (repair_ && !dead_[ri]) {
           // Persist the death and draw its revive schedule, keyed by the
           // epoch the rank crashed in (the ChaosPlan determinism contract).
           // Schedules that never fire are not tracked: the rank simply
@@ -1525,12 +1495,16 @@ class Engine::Impl {
 
   Rank num_procs_;
   const std::vector<char>& failed_;
-  /// The Engine's persistent dead set. Coordinator-only: admissions turn it
-  /// into per-slot pre-marks, so workers never read it.
-  std::vector<char>& dead_;
+  /// The persistent dead set: failed_ plus persisted chaos crashes minus
+  /// rejoins; equals failed_ when repair is off. Coordinator-only:
+  /// admissions turn it into per-slot pre-marks, so workers never read it.
+  std::vector<char> dead_;
   Rank live_count_;  ///< ranks not in dead_ — each epoch's countdown start
+  /// dead_ as of the last generation move. Identity until then, even with
+  /// construction failures (the initial tree spans [0, P) with failed ranks
+  /// as holes); the first move compacts over every dead rank.
+  MembershipView membership_;
   const bool repair_;
-  const bool pin_threads_;
 
   std::size_t chunk_ = 1;        // ranks per shard; shard(r) = r / chunk_
   std::uint64_t chunk_mul_ = 0;  // ceil(2^64 / chunk_); 0 when chunk_ == 1
@@ -1580,13 +1554,13 @@ class Engine::Impl {
   Doorbell coordinator_bell_;
   Doorbell idle_bell_;  ///< workers with no slot to serve park here
 
-  /// Stream-side membership repair (repair mode, coordinator-owned).
+  /// Repair mode, coordinator-owned: persisted crashes with a revive
+  /// schedule, and whether dead_ changed since the last mend().
   struct Down {
     Rank rank;
     std::int64_t revive_at_ns;  ///< engine time the revive is due
   };
   std::vector<Down> down_;
-  std::int64_t repairs_ = 0;
   bool membership_dirty_ = false;
 
   std::barrier<> session_barrier_;  // shards + coordinator, twice per session
@@ -1595,7 +1569,7 @@ class Engine::Impl {
 };
 
 // ---------------------------------------------------------------------------
-// Engine facade: validation, membership bookkeeping, deadline resolution.
+// Engine facade: validation and deadline resolution.
 // ---------------------------------------------------------------------------
 
 Engine::Engine(Rank num_procs, std::vector<char> failed, EngineOptions options)
@@ -1614,15 +1588,7 @@ Engine::Engine(Rank num_procs, std::vector<char> failed, EngineOptions options,
         "EngineOptions::mesh_capacity must be >= 1 (0 would make every "
         "SPSC ring unable to accept any envelope)");
   }
-  live_count_ = 0;
-  for (char f : failed_) live_count_ += (f == 0);
-  // Membership starts as the identity view even with construction failures:
-  // the initial tree/ring span [0, P) with failed ranks as holes, exactly
-  // the pre-repair behavior. The first effective repair pass compacts over
-  // *all* dead ranks (construction failures included).
-  dead_ = failed_;
-  membership_ = MembershipView::identity(num_procs_);
-  impl_ = std::make_unique<Impl>(num_procs_, failed_, dead_, live_count_, options_, slice);
+  impl_ = std::make_unique<Impl>(num_procs_, failed_, options_, slice);
 }
 
 Engine::~Engine() = default;
@@ -1634,51 +1600,18 @@ void Engine::set_chaos(ChaosPlan plan) {
   impl_->set_chaos(chaos_.enabled() ? &chaos_ : nullptr);
 }
 
-bool Engine::repair_membership(const std::vector<topo::Rank>& newly_dead,
-                               const std::vector<topo::Rank>& revived) {
+topo::Rank Engine::live_count() const noexcept { return impl_->live_count(); }
+std::int32_t Engine::generation() const noexcept { return impl_->generation(); }
+const MembershipView& Engine::membership() const noexcept { return impl_->membership(); }
+bool Engine::is_dead(topo::Rank r) const { return impl_->is_dead(r); }
+
+Mend Engine::mend() {
   if (!options_.repair) {
     throw std::logic_error(
-        "repair_membership requires EngineOptions::repair (without it "
-        "crashes are per-epoch and there is no persistent dead set to mend)");
+        "Engine::mend requires EngineOptions::repair (without it crashes are "
+        "per-epoch and there is no persistent dead set to mend)");
   }
-  auto check = [this](topo::Rank r) {
-    if (r < 0 || r >= num_procs_) {
-      throw std::invalid_argument("repair_membership: rank out of range");
-    }
-    if (r == 0) {
-      throw std::invalid_argument(
-          "repair_membership: rank 0 roots every collective and cannot "
-          "change state");
-    }
-  };
-  for (const topo::Rank r : newly_dead) check(r);
-  for (const topo::Rank r : revived) {
-    check(r);
-    if (failed_[static_cast<std::size_t>(r)]) {
-      throw std::invalid_argument(
-          "repair_membership: ranks failed at construction hold no "
-          "execution slot and cannot revive");
-    }
-  }
-  bool changed = false;
-  for (const topo::Rank r : newly_dead) {
-    auto& flag = dead_[static_cast<std::size_t>(r)];
-    changed |= (flag == 0);
-    flag = 1;
-  }
-  for (const topo::Rank r : revived) {
-    auto& flag = dead_[static_cast<std::size_t>(r)];
-    changed |= (flag != 0);
-    flag = 0;
-  }
-  if (!changed) return false;
-
-  generation_ = (generation_ + 1) & 0xFF;  // 8-bit field in the envelope tag
-  live_count_ = 0;
-  for (const char d : dead_) live_count_ += (d == 0);
-  membership_ = MembershipView::over_survivors(dead_, generation_);
-  impl_->set_membership(live_count_, generation_);
-  return true;
+  return impl_->mend();
 }
 
 EpochResult Engine::run_epoch(sim::Protocol& protocol, std::chrono::nanoseconds timeout) {
@@ -1703,15 +1636,7 @@ StreamResult Engine::run_stream(const ProtocolFactory& factory,
   if (deadline_ns > 0 && (timeout_ns <= 0 || deadline_ns < timeout_ns)) {
     timeout_ns = deadline_ns;
   }
-  StreamResult result = impl_->run_stream(factory, options, timeout_ns);
-  if (live_count_ != impl_->live_count() || generation_ != impl_->generation()) {
-    // A repair-mode stream mended the shared dead set itself; refresh the
-    // views the facade derives from it.
-    live_count_ = impl_->live_count();
-    generation_ = impl_->generation();
-    membership_ = MembershipView::over_survivors(dead_, generation_);
-  }
-  return result;
+  return impl_->run_stream(factory, options, timeout_ns);
 }
 
 }  // namespace ct::rt

@@ -47,10 +47,8 @@ struct HarnessResult {
   std::int64_t dup_drops = 0;    ///< duplicate datagrams dropped by (peer, seq) dedup
 
   // --- recovery aggregates (measure_recovery only; zeros elsewhere) ---
-  std::int64_t repairs = 0;          ///< effective membership rebuilds
-  std::int64_t rejoins = 0;          ///< revived ranks that rejoined
-  std::int64_t replayed_epochs = 0;  ///< missed epochs caught up via the replay log
-  std::int64_t state_transfers = 0;  ///< rejoins whose outage outran the log
+  std::int64_t repairs = 0;  ///< boundaries at which the generation moved
+  std::int64_t rejoins = 0;  ///< revived ranks that rejoined
   /// Epochs between the last injected fault (crash or rejoin) and the last
   /// degraded epoch — the convergence-k of DESIGN.md §4i. 0 = the service
   /// was already clean when the fault stream went quiet.
@@ -92,10 +90,6 @@ struct HarnessOptions {
   std::int64_t warmup = 3;
   std::int64_t iterations = 20;
   std::chrono::nanoseconds epoch_timeout = std::chrono::seconds(10);
-  /// measure_recovery only: epochs the sender-side replay log retains. A
-  /// rejoin whose outage fits the log replays the missed epochs; a longer
-  /// outage falls back to a fresh-epoch state transfer (DESIGN.md §4i).
-  std::size_t replay_log_capacity = 64;
 };
 
 /// Runs `options.iterations` measured epochs (after warmup) of protocols
@@ -114,19 +108,15 @@ using MembershipProtocolFactory =
     std::function<std::unique_ptr<sim::Protocol>(const MembershipView& view)>;
 
 /// Self-healing variant of measure_broadcast for engines constructed with
-/// EngineOptions::repair. At every epoch boundary the harness consumes the
-/// previous epoch's degradation report, schedules revivals from the engine's
-/// ChaosPlan (revive_after_ns keyed by the epoch index the crash was
-/// detected in), and calls Engine::repair_membership so the next epoch runs
-/// over survivors only. Rejoins are served from a bounded sender-side replay
-/// log when it still covers the outage, and counted as state transfers
-/// otherwise; the log is truncated at quiescence (no rank down or pending).
-/// Recovery counters (repairs / rejoins / replayed_epochs / state_transfers)
-/// span the whole run including warmup — a recovery soak's faults don't
-/// pause for the measurement window — while latency aggregates keep the
-/// usual measured-only semantics. epochs_to_converge is the convergence-k:
-/// epochs between the last injected fault (crash or rejoin) and the last
-/// degraded epoch.
+/// EngineOptions::repair. Before every epoch it calls Engine::mend() — the
+/// engine has persisted the previous epochs' crashes and readmits ranks
+/// whose revive schedule came due — and builds the protocol over the
+/// resulting survivor view, so each epoch runs over survivors only.
+/// Recovery counters (repairs / rejoins) span the whole run including
+/// warmup — a recovery soak's faults don't pause for the measurement window
+/// — while latency aggregates keep the usual measured-only semantics.
+/// epochs_to_converge is the convergence-k: epochs between the last
+/// injected fault (crash or rejoin) and the last degraded epoch.
 HarnessResult measure_recovery(Engine& engine,
                                const MembershipProtocolFactory& factory,
                                const HarnessOptions& options = {});
@@ -152,9 +142,8 @@ struct StreamHarnessResult {
   double wall_seconds = 0.0;
 
   // --- recovery aggregates (repair-mode streams only; zeros otherwise) ---
-  std::int64_t repairs = 0;          ///< membership-generation bumps
-  std::int64_t rejoins = 0;          ///< revived ranks readmitted at a boundary
-  std::int64_t state_transfers = 0;  ///< stream rejoins are always fresh-epoch
+  std::int64_t repairs = 0;  ///< membership-generation bumps
+  std::int64_t rejoins = 0;  ///< revived ranks readmitted at a boundary
   /// Convergence-k over the admission-ordered epoch sequence: epochs between
   /// the last fault epoch (crash or rejoin) and the last degraded epoch.
   std::int64_t epochs_to_converge = 0;

@@ -41,8 +41,9 @@ Tree make_tree(const TreeSpec& spec, Rank num_procs);
 /// Rebuilds the tree described by `spec` over the `live` survivors of a
 /// shrunk membership — the epoch-boundary repair entry point. The result is
 /// a fresh, fully-connected topology over dense ranks [0, live): callers
-/// (rt::measure_recovery, exp::run) translate dense <-> stable global ids
-/// via rt::MembershipView, so every tree family repairs without per-family
+/// (exp::run's repair-mode protocol builder, fed the survivor view of
+/// rt::Engine::mend) translate dense <-> stable global ids via
+/// rt::MembershipView, so every tree family repairs without per-family
 /// surgery. Throws std::invalid_argument when no rank survived.
 Tree make_survivor_tree(const TreeSpec& spec, Rank live);
 

@@ -1,10 +1,10 @@
 // Self-healing membership tests (DESIGN.md §4i): revive-schedule
-// determinism, MembershipView / RemappedProtocol / ReplayLog units,
-// generation-tagged envelopes, epoch-boundary tree reparation over
-// survivors, the continuous crash+revive convergence soak on both
-// executors, and the streaming repair coordinator. Registered under the
-// `recovery-smoke` ctest label (also `sanitize`, so the asan/tsan presets
-// soak the repair paths).
+// determinism, MembershipView units, generation-tagged envelopes, the
+// engine's one mend path (Engine::mend), epoch-boundary tree reparation
+// over survivors, the continuous crash+revive convergence soak, the
+// streaming repair coordinator, and one-shot/stream mend parity.
+// Registered under the `recovery-smoke` ctest label (also `sanitize`, so
+// the asan/tsan presets soak the repair paths).
 
 #include <gtest/gtest.h>
 
@@ -140,69 +140,6 @@ TEST(MembershipView, AllRevivedCollapsesBackToIdentityButKeepsGeneration) {
   EXPECT_EQ(view.num_live(), 8);
 }
 
-// --- replay log -------------------------------------------------------------
-
-TEST(ReplayLog, CoversAContiguousSuffixAndEvictsAtCapacity) {
-  ReplayLog log(4);
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_FALSE(log.covers(0));
-  for (std::int64_t e = 10; e < 16; ++e) log.append(e, e * 100);
-  EXPECT_EQ(log.size(), 4u);  // 10 and 11 evicted by the bound
-  EXPECT_EQ(log.first_epoch(), 12);
-  EXPECT_EQ(log.last_epoch(), 15);
-  EXPECT_FALSE(log.covers(11));
-  EXPECT_TRUE(log.covers(12));
-  EXPECT_TRUE(log.covers(15));
-  EXPECT_FALSE(log.covers(16));
-  EXPECT_EQ(log.payload_of(13), 1300);
-}
-
-TEST(ReplayLog, ChoosesReplayAtExactlyLogDepthAndTransferOneBeyond) {
-  // The measure_recovery rejoin decision is `log.covers(since_epoch)` at the
-  // boundary before epoch `idx`: one record is sealed per epoch, so a depth-D
-  // log holds [idx-D, idx-1] and the flip between "replay the outage" and
-  // "outage outran the log -> state transfer" sits exactly at outage == D.
-  // The rest of the suite covers only the far ends (64-deep always-replay
-  // soaks, streams that always transfer); this pins the boundary itself.
-  constexpr std::size_t kDepth = 8;
-  ReplayLog log(kDepth);
-  const std::int64_t idx = 40;  // rejoin boundary: epochs [0, idx) sealed
-  for (std::int64_t e = 0; e < idx; ++e) log.append(e, e * 10);
-  ASSERT_EQ(log.size(), kDepth);
-
-  // Outage of exactly kDepth epochs: crashed in idx-kDepth, missed
-  // [idx-kDepth, idx-1] — still covered, and every missed payload is
-  // reproducible, so replay is chosen.
-  const std::int64_t exact = idx - static_cast<std::int64_t>(kDepth);
-  EXPECT_TRUE(log.covers(exact));
-  for (std::int64_t e = exact; e < idx; ++e) {
-    EXPECT_EQ(log.payload_of(e), e * 10);
-  }
-
-  // One epoch longer and the first missed record has been evicted: replay
-  // would hand back a hole, so the harness must take the state transfer.
-  EXPECT_FALSE(log.covers(exact - 1));
-
-  // The boundary tracks eviction: sealing one more epoch shifts the flip
-  // point by one, atomically.
-  log.append(idx, idx * 10);
-  EXPECT_FALSE(log.covers(exact));
-  EXPECT_TRUE(log.covers(exact + 1));
-}
-
-TEST(ReplayLog, TruncatesAndRejectsOutOfOrderEpochs) {
-  ReplayLog log(16);
-  for (std::int64_t e = 0; e < 6; ++e) log.append(e, e);
-  log.truncate_below(4);
-  EXPECT_EQ(log.first_epoch(), 4);
-  EXPECT_TRUE(log.covers(5));
-  EXPECT_FALSE(log.covers(3));
-  EXPECT_THROW(log.append(2, 0), std::logic_error);  // epochs only move forward
-  log.clear();  // quiescence truncation
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_FALSE(log.covers(5));
-}
-
 // --- generation-tagged envelopes -------------------------------------------
 
 TEST(EnvelopeTag, GenerationZeroKeepsThePrePr9WireFormat) {
@@ -235,37 +172,64 @@ TEST(RepairApi, RequiresRepairModeAndGuardsTheRoot) {
   EngineOptions plain;
   plain.workers = 2;
   Engine engine(procs, no_failures(procs), plain);
-  EXPECT_THROW(engine.repair_membership({1}, {}), std::logic_error);
+  EXPECT_THROW(engine.mend(), std::logic_error);
 
   EngineOptions repairing = plain;
   repairing.repair = true;
   std::vector<char> failed = no_failures(procs);
-  failed[6] = 1;  // failed at construction: has no thread, can never revive
+  failed[6] = 1;  // failed at construction: has no slot, can never revive
   Engine fixer(procs, failed, repairing);
-  EXPECT_THROW(fixer.repair_membership({0}, {}), std::invalid_argument);
-  EXPECT_THROW(fixer.repair_membership({}, {6}), std::invalid_argument);
-  EXPECT_THROW(fixer.repair_membership({procs}, {}), std::invalid_argument);
-
   // Initial membership is the identity even with construction failures: the
-  // first repair compacts over *all* dead ranks.
+  // first generation move compacts over *all* dead ranks.
   EXPECT_TRUE(fixer.membership().is_identity());
   EXPECT_EQ(fixer.generation(), 0);
   EXPECT_TRUE(fixer.is_dead(6));
+  const Mend idle = fixer.mend();  // nothing changed: no generation
+  EXPECT_FALSE(idle.generation_moved);
+  EXPECT_EQ(idle.rejoined, 0);
+  EXPECT_EQ(fixer.generation(), 0);
 
-  EXPECT_FALSE(fixer.repair_membership({}, {}));  // no change, no generation
-  EXPECT_TRUE(fixer.repair_membership({3}, {}));
+  // Every rank but the root crashes at once (the plan exempts rank 0) and
+  // revives at the next boundary; rank 6 holds no slot, so it neither
+  // crashes nor revives.
+  ChaosOptions chaos;
+  chaos.crash_fraction = 1.0;
+  chaos.crash_window_ns = 0;
+  chaos.revive_fraction = 1.0;
+  fixer.set_chaos(ChaosPlan(chaos));
+  const topo::Tree tree = topo::make_binomial_interleaved(procs);
+  proto::CorrectedTreeBroadcast protocol(tree,
+                                         make_correction(proto::CorrectionKind::kChecked));
+  const EpochResult epoch = fixer.run_epoch(protocol, std::chrono::seconds(60));
+  const std::vector<Rank> crashed = {1, 2, 3, 4, 5, 7};
+  EXPECT_EQ(epoch.crashed_ranks, crashed);
+  // Collection persisted the crashes; the view waits for the boundary.
+  EXPECT_EQ(fixer.live_count(), 1);
+  EXPECT_FALSE(fixer.is_dead(0));
+  EXPECT_TRUE(fixer.membership().is_identity());
+
+  const Mend mended = fixer.mend();
+  EXPECT_TRUE(mended.generation_moved);
+  EXPECT_EQ(mended.rejoined, 6);
   EXPECT_EQ(fixer.generation(), 1);
-  EXPECT_TRUE(fixer.is_dead(3));
-  EXPECT_EQ(fixer.live_count(), 6);
-  EXPECT_EQ(fixer.membership().num_live(), 6);
-  EXPECT_FALSE(fixer.membership().is_live(3));
-  EXPECT_FALSE(fixer.membership().is_live(6));
-
-  EXPECT_FALSE(fixer.repair_membership({3}, {}));  // already dead: no change
-  EXPECT_TRUE(fixer.repair_membership({}, {3}));   // chaos-dead ranks revive
-  EXPECT_EQ(fixer.generation(), 2);
-  EXPECT_FALSE(fixer.is_dead(3));
   EXPECT_EQ(fixer.live_count(), 7);
+  EXPECT_EQ(fixer.membership().num_live(), 7);
+  EXPECT_FALSE(fixer.membership().is_live(6));
+  EXPECT_TRUE(fixer.membership().is_live(0));
+  EXPECT_FALSE(fixer.is_dead(3));
+}
+
+/// One repair-mode epoch of a checked tree broadcast over `engine`'s
+/// current survivor view, the way measure_recovery builds it.
+EpochResult run_over_view(Engine& engine, const topo::TreeSpec& tree_spec) {
+  const MembershipView& view = engine.membership();
+  const topo::Tree tree = topo::make_survivor_tree(tree_spec, view.num_live());
+  std::unique_ptr<sim::Protocol> protocol = std::make_unique<proto::CorrectedTreeBroadcast>(
+      tree, make_correction(proto::CorrectionKind::kChecked));
+  if (!view.is_identity()) {
+    protocol = std::make_unique<RemappedProtocol>(std::move(protocol), view);
+  }
+  return engine.run_epoch(*protocol, std::chrono::seconds(60));
 }
 
 TEST(RepairApi, GenerationWrapsModulo256) {
@@ -273,11 +237,18 @@ TEST(RepairApi, GenerationWrapsModulo256) {
   options.workers = 2;
   options.repair = true;
   Engine engine(8, no_failures(8), options);
+  // Rank 1 dies in every epoch and revives at the next boundary, so every
+  // boundary moves the generation exactly once.
+  ChaosPlan plan;
+  plan.kill_at_ns(1, 0);
+  plan.revive_after(1, 0);
+  engine.set_chaos(std::move(plan));
   for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(engine.repair_membership(i % 2 == 0 ? std::vector<Rank>{1}
-                                                    : std::vector<Rank>{},
-                                         i % 2 == 0 ? std::vector<Rank>{}
-                                                    : std::vector<Rank>{1}));
+    const EpochResult epoch = run_over_view(engine, topo::TreeSpec{});
+    ASSERT_EQ(epoch.crashed_ranks, std::vector<Rank>{1});
+    const Mend mended = engine.mend();
+    ASSERT_TRUE(mended.generation_moved);
+    ASSERT_EQ(mended.rejoined, 1);
     ASSERT_EQ(engine.generation(), (i + 1) & 0xFF);
     ASSERT_EQ(engine.membership().generation(), engine.generation());
   }
@@ -333,8 +304,11 @@ TEST(Repair, RebuildsTheTreeOverSurvivorsAfterAnInnerNodeDeath) {
   const std::vector<Rank> victims = {victim};
   EXPECT_EQ(injured.crashed_ranks, victims);
 
-  // Repair at the boundary: persist the death, rebuild over survivors.
-  ASSERT_TRUE(engine.repair_membership(injured.crashed_ranks, {}));
+  // Mend at the boundary: the engine persisted the death when it collected
+  // the epoch; the tree is rebuilt over the survivors.
+  const Mend mended = engine.mend();
+  ASSERT_TRUE(mended.generation_moved);
+  EXPECT_EQ(mended.rejoined, 0);  // no revive schedule: the victim stays dead
   const MembershipView& view = engine.membership();
   ASSERT_EQ(view.num_live(), procs - 1);
   const topo::Tree repaired =
@@ -398,11 +372,8 @@ void soak(Rank procs, std::int64_t epochs) {
   EXPECT_GT(result.ranks_crashed, 0);
   EXPECT_GT(result.repairs, 0);
   EXPECT_GT(result.rejoins, 0);
-  // With revive-after 0 every outage lasts exactly one epoch, which the
-  // 64-epoch replay log always covers: every rejoin replays one missed
-  // epoch and nobody needs the state-transfer fallback.
-  EXPECT_EQ(result.state_transfers, 0);
-  EXPECT_EQ(result.replayed_epochs, result.rejoins);
+  // A fresh engine: the harness saw every generation move.
+  EXPECT_EQ(engine.generation(), result.repairs & 0xFF);
   // The acceptance gate: the service re-converges within k <= 3 epochs of
   // the last injected fault.
   EXPECT_LE(result.epochs_to_converge, 3);
@@ -445,7 +416,6 @@ TEST(StreamRepair, RetiresCorpsesAtAdmissionAndReadmitsRevived) {
   // readmitted the revived ranks.
   EXPECT_GT(result.repairs, 0);
   EXPECT_GT(result.rejoins, 0);
-  EXPECT_EQ(result.state_transfers, result.rejoins);  // streams never replay
   std::int64_t dead_at_start = 0;
   for (const StreamEpoch& epoch : result.raw.epochs) {
     dead_at_start += epoch.dead_at_start;
@@ -454,6 +424,90 @@ TEST(StreamRepair, RetiresCorpsesAtAdmissionAndReadmitsRevived) {
   }
   EXPECT_GT(dead_at_start, 0);
   EXPECT_GT(result.deliveries, 0);
+}
+
+// --- one mend path ---------------------------------------------------------
+
+// One-shot recovery and a W = 1 stream mend through the same engine step,
+// so on fresh engines under the same plan they realise the same membership
+// history. Crash instants at 1 ns (crash_window_ns = 0) make each epoch's
+// crash set the plan's draw over the ranks live at admission, and
+// revive-after 0 readmits every victim at the next boundary.
+TEST(MendParity, OneShotRecoveryAndW1StreamAgree) {
+  const Rank procs = 128;
+  constexpr std::int64_t kEpochs = 12;
+  EngineOptions options;
+  options.workers = 3;
+  options.repair = true;
+  ChaosOptions chaos;
+  chaos.seed = 0xA11CEu;
+  chaos.crash_fraction = 0.05;
+  chaos.crash_window_ns = 0;
+  chaos.revive_fraction = 1.0;
+  chaos.revive_after_ns = 0;
+  const topo::TreeSpec tree_spec;
+
+  // One-shot: one measure_recovery call per epoch. The harness keeps no
+  // membership state of its own, so consecutive calls continue one run.
+  Engine oneshot(procs, no_failures(procs), options);
+  oneshot.set_chaos(ChaosPlan(chaos));
+  std::unique_ptr<topo::Tree> survivors;  // outlives the epoch built over it
+  const MembershipProtocolFactory factory =
+      [&](const MembershipView& view) -> std::unique_ptr<sim::Protocol> {
+    survivors =
+        std::make_unique<topo::Tree>(topo::make_survivor_tree(tree_spec, view.num_live()));
+    return std::make_unique<proto::CorrectedTreeBroadcast>(
+        *survivors, make_correction(proto::CorrectionKind::kChecked));
+  };
+  HarnessOptions harness;
+  harness.warmup = 0;
+  harness.iterations = 1;
+  harness.epoch_timeout = std::chrono::seconds(120);
+  std::vector<std::vector<Rank>> oneshot_crashed;
+  std::vector<std::int64_t> oneshot_rejoins;
+  std::int64_t oneshot_repairs = 0;
+  for (std::int64_t e = 0; e < kEpochs; ++e) {
+    const HarnessResult result = measure_recovery(oneshot, factory, harness);
+    ASSERT_EQ(result.timeouts, 0);
+    oneshot_crashed.push_back(result.first.crashed_ranks);
+    oneshot_rejoins.push_back(result.rejoins);
+    oneshot_repairs += result.repairs;
+  }
+
+  // Stream: the same epochs through the admission path, one at a time.
+  Engine streamed(procs, no_failures(procs), options);
+  streamed.set_chaos(ChaosPlan(chaos));
+  const topo::Tree tree = topo::make_tree(tree_spec, procs);
+  const ProtocolFactory stream_factory = [&]() -> std::unique_ptr<sim::Protocol> {
+    return std::make_unique<proto::CorrectedTreeBroadcast>(
+        tree, make_correction(proto::CorrectionKind::kChecked));
+  };
+  StreamOptions stream;
+  stream.epochs = kEpochs;
+  stream.window = 1;
+  stream.epoch_timeout = std::chrono::seconds(120);
+  stream.keep_rank_state = true;
+  const StreamHarnessResult result = measure_stream(streamed, stream_factory, stream);
+  ASSERT_EQ(result.timeouts, 0);
+
+  std::int64_t crashes = 0;
+  for (std::int64_t e = 0; e < kEpochs; ++e) {
+    const StreamEpoch& epoch = result.raw.epochs[static_cast<std::size_t>(e)];
+    std::vector<Rank> crashed;
+    for (Rank r = 0; r < procs; ++r) {
+      if (epoch.rank_state[static_cast<std::size_t>(r)] == RankEnd::kCrashed) {
+        crashed.push_back(r);
+      }
+    }
+    EXPECT_EQ(crashed, oneshot_crashed[static_cast<std::size_t>(e)]) << "epoch " << e;
+    EXPECT_EQ(epoch.rejoined, oneshot_rejoins[static_cast<std::size_t>(e)])
+        << "epoch " << e;
+    crashes += static_cast<std::int64_t>(crashed.size());
+  }
+  EXPECT_GT(crashes, 0);  // the plan must actually exercise the path
+  EXPECT_EQ(result.repairs, oneshot_repairs);
+  EXPECT_EQ(streamed.generation(), oneshot.generation());
+  EXPECT_EQ(streamed.live_count(), oneshot.live_count());
 }
 
 }  // namespace

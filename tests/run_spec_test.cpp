@@ -34,6 +34,16 @@ void expect_roundtrip(const RunSpec& spec) {
   EXPECT_EQ(parsed.to_string(), text);
 }
 
+void expect_rejected(const std::string& text, const std::string& needle) {
+  try {
+    parse_run_spec(text);
+    FAIL() << "expected rejection of '" << text << "'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << "message for '" << text << "' was: " << e.what();
+  }
+}
+
 TEST(RunSpecRoundTrip, Defaults) { expect_roundtrip(base_spec()); }
 
 TEST(RunSpecRoundTrip, EveryCollective) {
@@ -58,18 +68,17 @@ TEST(RunSpecRoundTrip, EveryExecutor) {
 }
 
 TEST(RunSpecRoundTrip, RtShardedCrossShardKnobs) {
-  // The rt-sharded executor options: ':pin' (shard→core pinning) and
-  // ':mesh-cap=N' (per-pair ring capacity).
+  // The rt-sharded executor option ':mesh-cap=N' (per-pair ring capacity)
+  // round-trips; the removed ':pin' is rejected by name.
   RunSpec spec = base_spec();
   spec.executor = Executor::kRtSharded;
   spec.workers = 8;
-  spec.rt_pin = true;
-  expect_roundtrip(spec);
   spec.rt_mesh_capacity = 64;
   expect_roundtrip(spec);
-  spec.rt_pin = false;
   spec.rt_mesh_capacity = 2;
   expect_roundtrip(spec);
+  expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-sharded:w=8:pin",
+                  "':pin' was removed");
 }
 
 TEST(RunSpecRoundTrip, EveryProtocol) {
@@ -228,16 +237,6 @@ TEST(RunSpecParse, RtUdpExecutorTokensRoundTrip) {
 
 // --- rejection diagnostics ----------------------------------------------
 
-void expect_rejected(const std::string& text, const std::string& needle) {
-  try {
-    parse_run_spec(text);
-    FAIL() << "expected rejection of '" << text << "'";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-        << "message for '" << text << "' was: " << e.what();
-  }
-}
-
 TEST(RunSpecParse, RejectsMalformedSpecs) {
   expect_rejected("", "not a spec");
   expect_rejected("bcast:binomial", "not a spec");
@@ -268,9 +267,9 @@ TEST(RunSpecParse, RejectsMalformedSpecs) {
   expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-sharded:mesh-cap=0",
                   "mesh-cap must be >= 1");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=sim:pin",
-                  "rt-sharded only");
+                  "':pin' was removed");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-udp:pin",
-                  "rt-sharded only");
+                  "':pin' was removed");
   expect_rejected("bcast:binomial:checked:overlapped@P=8,exec=rt-udp:mesh-cap=4",
                   "rt-sharded only");
   // rt-udp knobs: processes are counted via ':procs=', and the knobs apply
